@@ -33,7 +33,7 @@ from .errors import (
     UnassignedVariable,
     UndefinedCover,
 )
-from .groups import QChain, SubgroupDescriptor, Trivial, ZLex, subgroup_contains
+from .groups import QChain, SubgroupDescriptor, Trivial, ZLex
 from .literals import parse_elem
 from .logic import (
     Countermodel,

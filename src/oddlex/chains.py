@@ -16,6 +16,11 @@ All values are immutable and every operation is pure.  Operations validate
 carrier membership of their operands and raise :class:`MembershipError`
 otherwise; the ``_``-prefixed variants skip validation and are used for
 recursion into components.
+
+Single-walk contract: each element operation and each membership test visits
+each node of an element tree O(1) times.  A product level that tests its first
+component's group-part coordinates takes them from the recursion that negates
+or checks that component (:meth:`Algebra._neg_coords`, ``_group_coords``).
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class Algebra:
         if not self.grpart_discretely_embedded:
             raise UndefinedCover(
                 f"group part of {self} is not discretely embedded; covers are undefined")
-        if not self._is_group_elem(a):
+        if self._group_coords(a) is None:
             raise UndefinedCover(f"{a} lies outside the group part of {self}")
 
     # -- structural recursion ------------------------------------------------
@@ -150,6 +155,10 @@ class Algebra:
         raise NotImplementedError
 
     def _neg(self, a: Elem) -> Elem:
+        return self._neg_coords(a, False)[0]
+
+    def _neg_coords(self, a: Elem, want: bool) -> tuple[Elem, Optional[tuple]]:
+        """``neg a`` and, when ``want``, :meth:`_group_coords` of ``a`` (else None)."""
         raise NotImplementedError
 
     def _cover_up(self, a: Elem) -> Elem:
@@ -158,12 +167,8 @@ class Algebra:
     def _cover_down(self, a: Elem) -> Elem:
         raise NotImplementedError
 
-    def _is_group_elem(self, e: Elem) -> bool:
-        """Structural membership in the group part (no arithmetic involved)."""
-        raise NotImplementedError
-
-    def _flatten(self, e: Elem) -> tuple:
-        """Coordinates of a group-part element in the ambient lex group."""
+    def _group_coords(self, e: Elem) -> Optional[tuple]:
+        """Coordinates of ``e`` in the ambient lex group, or None outside the group part."""
         raise NotImplementedError
 
     def _unflatten(self, coords) -> Elem:
@@ -235,8 +240,8 @@ class BaseAlgebra(Algebra):
     def _mult(self, a, b):
         return Leaf(self.chain.add(a.value, b.value))
 
-    def _neg(self, a):
-        return Leaf(self.chain.invert(a.value))
+    def _neg_coords(self, a, want):
+        return Leaf(self.chain.invert(a.value)), coords_of(self.chain, a.value) if want else None
 
     def _cover_up(self, a):
         return Leaf(self.chain.succ(a.value))
@@ -244,11 +249,8 @@ class BaseAlgebra(Algebra):
     def _cover_down(self, a):
         return Leaf(self.chain.pred(a.value))
 
-    def _is_group_elem(self, e):
-        return self.contains(e)
-
-    def _flatten(self, e):
-        return coords_of(self.chain, e.value)
+    def _group_coords(self, e):
+        return coords_of(self.chain, e.value) if self.contains(e) else None
 
     def _unflatten(self, coords):
         if isinstance(self.chain, ZLex):
@@ -337,21 +339,19 @@ class PlpAlgebra(Algebra):
     # -- carrier ------------------------------------------------------------
 
     def _in_subgroup(self, desc: SubgroupDescriptor, x: Elem) -> bool:
-        return self.first._is_group_elem(x) and desc.contains_coords(self.first._flatten(x))
+        coords = self.first._group_coords(x)
+        return coords is not None and desc.contains_coords(coords)
 
     def contains(self, e):
+        # Having group coordinates implies membership: each branch walks x once.
         if not isinstance(e, Pair):
             return False
-        if not self.first.contains(e.first):
-            return False
-        s = e.second
-        if s is Marker.BOT:
-            return self.has_bot_marker
+        x, s = e.first, e.second
+        if s is Marker.BOT or (s is Marker.TOP and self.kind is PlpKind.IV):
+            return (s is Marker.TOP or self.has_bot_marker) and self.first.contains(x)
         if s is Marker.TOP:
-            if self.kind is PlpKind.IV:
-                return True
-            return self._in_subgroup(self.zdesc, e.first)
-        return self._in_subgroup(self.vdesc, e.first) and self.second.contains(s)
+            return self._in_subgroup(self.zdesc, x)
+        return self._in_subgroup(self.vdesc, x) and self.second.contains(s)
 
     @cached_property
     def _unit(self):
@@ -387,26 +387,23 @@ class PlpAlgebra(Algebra):
         return Pair(self.first._mult(a.first, b.first),
                     self._mult_second(a.second, b.second))
 
-    def _neg_second(self, s: Second) -> Second:
-        if s is Marker.BOT:
-            return Marker.TOP
-        if s is Marker.TOP:
-            return Marker.BOT
-        return self.second._neg(s)
-
-    def _neg(self, a):
+    def _neg_coords(self, a, want):
+        # x's coordinates are asked for where this level tests them: type III
+        # always, type IV under the top marker.  A member (x, y) has x in V.
         x, s = a.first, a.second
         if self.kind is PlpKind.III:
-            if self._in_subgroup(self.zdesc, x):
-                return Pair(self.first._neg(x), self._neg_second(s))
-            return Pair(self.first._neg(x), Marker.BOT)
-        # type IV: carrier is (X x {T}) | (V x Y)
-        if s is Marker.TOP:
-            nx = self.first._neg(x)
-            if self.first._is_group_elem(x):
-                return Pair(self.first._cover_down(nx), Marker.TOP)
-            return Pair(nx, Marker.TOP)
-        return Pair(self.first._neg(x), self.second._neg(s))
+            nx, cx = self.first._neg_coords(x, True)
+            if cx is None or not self.zdesc.contains_coords(cx):
+                return Pair(nx, Marker.BOT), None
+            if isinstance(s, Marker):
+                return Pair(nx, Marker.TOP if s is Marker.BOT else Marker.BOT), None
+        elif s is Marker.TOP:  # type IV: carrier is (X x {T}) | (V x Y)
+            nx, cx = self.first._neg_coords(x, True)
+            return Pair(nx if cx is None else self.first._cover_down(nx), Marker.TOP), None
+        else:
+            nx, cx = self.first._neg_coords(x, want)
+        ns, cs = self.second._neg_coords(s, want)
+        return Pair(nx, ns), (cx + cs if want and cs is not None else None)
 
     def _cover_up(self, a):
         return Pair(a.first, self.second._cover_up(a.second))
@@ -416,13 +413,14 @@ class PlpAlgebra(Algebra):
 
     # -- group part ----------------------------------------------------------
 
-    def _is_group_elem(self, e):
-        return (isinstance(e, Pair) and not isinstance(e.second, Marker)
-                and self._in_subgroup(self.vdesc, e.first)
-                and self.second._is_group_elem(e.second))
-
-    def _flatten(self, e):
-        return self.first._flatten(e.first) + self.second._flatten(e.second)
+    def _group_coords(self, e):
+        if not isinstance(e, Pair) or isinstance(e.second, Marker):
+            return None
+        cx = self.first._group_coords(e.first)
+        if cx is None or not self.vdesc.contains_coords(cx):
+            return None
+        cs = self.second._group_coords(e.second)
+        return None if cs is None else cx + cs
 
     def _unflatten(self, coords):
         n = len(self.first.ambient_kinds)
@@ -543,12 +541,10 @@ class BoundedAlgebra(Algebra):
             return TOP_BOUND
         return self.inner._mult(a, b)
 
-    def _neg(self, a):
-        if a is BOT_BOUND:
-            return TOP_BOUND
-        if a is TOP_BOUND:
-            return BOT_BOUND
-        return self.inner._neg(a)
+    def _neg_coords(self, a, want):
+        if isinstance(a, Bound):
+            return (TOP_BOUND if a is BOT_BOUND else BOT_BOUND), None
+        return self.inner._neg_coords(a, want)
 
     def _cover_up(self, a):
         return self.inner._cover_up(a)
@@ -556,11 +552,8 @@ class BoundedAlgebra(Algebra):
     def _cover_down(self, a):
         return self.inner._cover_down(a)
 
-    def _is_group_elem(self, e):
-        return not isinstance(e, Bound) and self.inner._is_group_elem(e)
-
-    def _flatten(self, e):
-        return self.inner._flatten(e)
+    def _group_coords(self, e):
+        return None if isinstance(e, Bound) else self.inner._group_coords(e)
 
     def _unflatten(self, coords):
         return self.inner._unflatten(coords)

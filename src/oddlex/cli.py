@@ -80,6 +80,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise OddlexError(f"--samples must be a positive integer, got {args.samples}")
     spec = _load_spec(args.spec)
     reports = run_verification(spec, args.suite, args.samples, args.seed,
                                standard=args.standard)
@@ -167,8 +169,11 @@ def cmd_eval(args) -> int:
 def cmd_iso_check(args) -> int:
     pairs = []
     for chunk in args.pairs.split(";"):
-        j, k = chunk.split(",")
-        pairs.append((int(j), int(k)))
+        try:
+            j, k = (int(v) for v in chunk.split(","))
+        except ValueError:
+            raise OddlexError(f"--pairs chunk {chunk!r} is not of the form j,k") from None
+        pairs.append((j, k))
     checks = iso_suite(_rng(args.seed, "iso-check"), args.samples, tuple(pairs))
     ok = all(c.ok for c in checks)
     if args.json:
@@ -248,6 +253,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

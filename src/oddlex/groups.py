@@ -189,6 +189,9 @@ class SubgroupDescriptor:
                 continue
             if not isinstance(e, Fraction) or e < 0:
                 raise ShapeError(f"descriptor entry must be '*', 0, or a positive rational, got {e!r}")
+        # (index, p, q) for each non-'*' entry p/q, read by contains_coords
+        object.__setattr__(self, "_constrained", tuple(
+            (i, e.numerator, e.denominator) for i, e in enumerate(self.entries) if e is not None))
 
     @classmethod
     def full(cls, n: int) -> "SubgroupDescriptor":
@@ -218,18 +221,18 @@ class SubgroupDescriptor:
         if len(coords) != len(self.entries):
             raise ShapeError(
                 f"descriptor has {len(self.entries)} coordinates, value has {len(coords)}")
-        for e, c in zip(self.entries, coords):
-            if e is None:
-                continue
-            if e == 0:
+        # c lies in (p/q)Z iff c*q/p is an integer; for c = a/b, iff b*p divides a*q.
+        for i, p, q in self._constrained:
+            c = coords[i]
+            if not p:
                 if c != 0:
                     return False
-            elif Fraction(c) % e != 0:
+            elif isinstance(c, int):
+                if c * q % p:
+                    return False
+            elif c.numerator * q % (c.denominator * p):
                 return False
         return True
-
-    def contains_elem(self, chain: GroupChain, a: GroupValue) -> bool:
-        return self.contains_coords(coords_of(chain, a))
 
     def refines(self, other: "SubgroupDescriptor") -> bool:
         """True when this descriptor's subgroup is contained in ``other``'s."""
@@ -254,8 +257,3 @@ class SubgroupDescriptor:
 
     def __str__(self) -> str:
         return "[" + ",".join(self.to_strings()) + "]"
-
-
-def subgroup_contains(desc: SubgroupDescriptor, chain: GroupChain, a: GroupValue) -> bool:
-    """Membership of a group value in the described subgroup."""
-    return desc.contains_elem(chain, a)

@@ -63,14 +63,14 @@ def _window_all(algebra: Algebra, radius: int, cap: int) -> list[Elem]:
     second_window = window_elements(algebra.second, radius, cap)
     out: list[Elem] = []
     for x in first_window:
-        in_v = algebra._in_subgroup(algebra.vdesc, x)
+        coords = algebra.first._group_coords(x)
         if algebra.has_bot_marker:
             out.append(Pair(x, Marker.BOT))
-            if algebra._in_subgroup(algebra.zdesc, x):
+            if coords is not None and algebra.zdesc.contains_coords(coords):
                 out.append(Pair(x, Marker.TOP))
         else:
             out.append(Pair(x, Marker.TOP))
-        if in_v:
+        if coords is not None and algebra.vdesc.contains_coords(coords):
             out.extend(Pair(x, y) for y in second_window)
         if len(out) > 3 * cap:
             break

@@ -302,7 +302,7 @@ class StandardTarget:
     def _embed_group_value(self, target: Algebra, source_stage: BaseAlgebra, leaf: Leaf) -> Elem:
         if isinstance(source_stage.chain, Trivial):
             return target.unit()
-        return target._unflatten(source_stage._flatten(leaf))
+        return target._unflatten(source_stage._group_coords(leaf))
 
     def _embed(self, i: int, e: Elem) -> Elem:
         if i == 1:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oddlex.cli import main
 from oddlex.serialize import algebra_from_json, tower_from_json
 from oddlex import build_plp, make_qj, q_chain, INT_IN_Q
@@ -135,6 +137,32 @@ def test_iso_check_command(capsys):
     assert main(["iso-check", "--pairs", "1,1;1,2;2,1", "--samples", "150"]) == 0
     out = capsys.readouterr().out
     assert "Z_2" in out and "pass" in out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "SPEC", "--samples", "0"], "got 0"),
+    (["verify", "SPEC", "--samples", "-5"], "got -5"),
+    (["iso-check", "--pairs", "1"], "'1'"),
+    (["iso-check", "--pairs", "1,x"], "'1,x'"),
+], ids=["samples-0", "samples-negative", "pairs-one-value", "pairs-non-integer"])
+def test_bad_sample_counts_and_pairs_are_usage_errors(tmp_path, capsys, argv, named):
+    spec = write_spec(tmp_path, "spec.json", SPEC_Z)
+    assert main([spec if a == "SPEC" else a for a in argv]) == 2
+    assert named in capsys.readouterr().err
+
+
+DEEP_NEGATION = "~" * 3000 + "p"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "SPEC", DEEP_NEGATION, "--assign", "p=1"],
+    ["countermodel", "SPEC", DEEP_NEGATION, "--budget", "10"],
+    ["iso-check", "--pairs", "400,1", "--samples", "5"],  # a cold Z_401 unit
+], ids=["eval", "countermodel", "iso-check"])
+def test_too_deeply_nested_input_is_a_usage_error(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "spec.json", SPEC_Z)
+    assert main([spec if a == "SPEC" else a for a in argv]) == 2
+    assert "input nested too deeply" in capsys.readouterr().err
 
 
 def test_missing_spec_file_is_a_usage_error(capsys):

@@ -11,7 +11,6 @@ from oddlex import (
     SubgroupDescriptor,
     Trivial,
     ZLex,
-    subgroup_contains,
 )
 
 Z2 = ZLex(2)
@@ -85,27 +84,66 @@ def test_succ_is_a_cover_no_window_element_between():
 
 def test_subgroup_membership_examples():
     ints_in_q = SubgroupDescriptor.from_strings(["1"])
-    assert subgroup_contains(ints_in_q, Q, Fraction(7))
-    assert not subgroup_contains(ints_in_q, Q, Fraction(1, 2))
+    assert ints_in_q.contains_coords((Fraction(7),))
+    assert not ints_in_q.contains_coords((Fraction(1, 2),))
 
     d = SubgroupDescriptor.from_strings(["2", "*"])
-    assert subgroup_contains(d, Z2, (4, -9))
-    assert not subgroup_contains(d, Z2, (3, 0))
+    assert d.contains_coords((4, -9))
+    assert not d.contains_coords((3, 0))
 
     d2 = SubgroupDescriptor.from_strings(["0", "3"])
-    assert not subgroup_contains(d2, Z2, (1, 3))
-    assert subgroup_contains(d2, Z2, (0, -6))
+    assert not d2.contains_coords((1, 3))
+    assert d2.contains_coords((0, -6))
+
+
+def _reference_contains(desc, coords):
+    """Descriptor membership written with Fraction arithmetic."""
+    for e, c in zip(desc.entries, coords):
+        if e is None:
+            continue
+        if e == 0:
+            if c != 0:
+                return False
+        elif Fraction(c) % e != 0:
+            return False
+    return True
+
+
+entry_strings = st.one_of(
+    st.sampled_from(["*", "0"]),
+    st.integers(1, 12).map(str),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"))
+
+
+@st.composite
+def descriptors_with_coords(draw):
+    desc = SubgroupDescriptor.from_strings(draw(st.lists(entry_strings, max_size=5)))
+    coords = []
+    for e in desc.entries:
+        # multiples of the entry are members, so they are drawn on purpose
+        c = draw(st.one_of(st.integers(-60, 60), rationals,
+                           st.integers(-20, 20).map(lambda k, e=e: k * (e or Fraction(1)))))
+        if isinstance(c, Fraction) and c.denominator == 1 and draw(st.booleans()):
+            c = int(c)
+        coords.append(c)
+    return desc, tuple(coords)
+
+
+@given(descriptors_with_coords())
+def test_contains_coords_agrees_with_the_fraction_reference(case):
+    desc, coords = case
+    assert desc.contains_coords(coords) == _reference_contains(desc, coords)
 
 
 def test_subgroup_closure_sampled():
     d = SubgroupDescriptor.from_strings(["2", "3"])
     members = [(2 * i, 3 * j) for i in range(-4, 5) for j in range(-4, 5)]
     for a in members:
-        assert subgroup_contains(d, Z2, a)
-        assert subgroup_contains(d, Z2, Z2.invert(a))
+        assert d.contains_coords(a)
+        assert d.contains_coords(Z2.invert(a))
         for b in members[:9]:
-            assert subgroup_contains(d, Z2, Z2.add(a, b))
-    assert subgroup_contains(d, Z2, Z2.unit())
+            assert d.contains_coords(Z2.add(a, b))
+    assert d.contains_coords(Z2.unit())
 
 
 def test_descriptor_refinement():

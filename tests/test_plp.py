@@ -2,11 +2,16 @@ import pytest
 
 from oddlex import (
     INT_IN_Q,
+    BaseAlgebra,
+    Leaf,
     Marker,
     Pair,
+    PlpAlgebra,
+    PlpKind,
     PreconditionViolation,
     ShapeError,
     SubgroupDescriptor,
+    ZLex,
     adjoin_bounds,
     build_plp,
     is_grpart_discretely_embedded,
@@ -130,6 +135,27 @@ def test_bounded_operands_are_rejected():
         build_plp("I", q_chain(), zdesc=INT_IN_Q, second=adjoin_bounds(q_chain()))
 
 
+class _ShiftedNegation(BaseAlgebra):
+    """Z with the involution x -> 1 - x, which moves the unit: t != f."""
+
+    def _neg_coords(self, a, want):
+        n, coords = super()._neg_coords(a, want)
+        return Leaf((n.value[0] + 1,)), coords
+
+
+def test_operands_whose_negation_moves_the_unit_are_rejected():
+    shifted = _ShiftedNegation(ZLex(1))
+    assert shifted.rank() != 0
+    with pytest.raises(PreconditionViolation, match="not odd"):
+        build_plp("II", shifted, second=z_chain())
+    # one level down, inside a product built without the gate
+    nested = PlpAlgebra(PlpKind.III, z_chain(), D_FULL1, D_FULL1, shifted)
+    with pytest.raises(PreconditionViolation, match="first operand is not odd"):
+        build_plp("I", nested, zdesc=SubgroupDescriptor.full(2), second=z_chain())
+    with pytest.raises(PreconditionViolation, match="second operand is not odd"):
+        build_plp("I", z_chain(), zdesc=D_FULL1, second=nested)
+
+
 def test_descriptor_refinement_is_enforced():
     with pytest.raises(PreconditionViolation, match="refinement"):
         build_plp("III", z_chain(), zdesc=D_EVEN, vdesc=D_FULL1, second=z_chain())
@@ -176,7 +202,7 @@ def test_discrete_embedding_matches_sampled_cover_search():
         above = [w for w in window if A.lt(g, w)]
         if structural:
             up = A.cover_up(g)
-            assert A._is_group_elem(up)
+            assert A._group_coords(up) is not None
             assert not any(A.lt(g, w) and A.lt(w, up) for w in window)
         else:
             # every strictly greater window element has something between it and g

@@ -388,3 +388,38 @@ def test_bounded_case_with_a_trivial_first_stage():
         assert target.embed(2, src.mult(a, b)) == dst.mult(fa, fb)
         assert target.embed(2, src.neg(a)) == dst.neg(fa)
         assert src.leq(a, b) == dst.leq(fa, fb)
+
+
+def test_contains_coords_calls_grow_linearly_per_op_and_quadratically_per_build(monkeypatch):
+    """Scaling guard: each element op visits each node of a tree O(1) times.
+
+    On the left-nested all-III tower a residuum then makes O(n) descriptor
+    tests and ``build_standard_target`` O(n^2); a group walk repeated at every
+    level makes the counts grow about n times faster.
+    """
+    calls = 0
+    original = SubgroupDescriptor.contains_coords
+
+    def counting(self, coords):
+        nonlocal calls
+        calls += 1
+        return original(self, coords)
+
+    monkeypatch.setattr(SubgroupDescriptor, "contains_coords", counting)
+
+    def counted(fn):
+        nonlocal calls
+        calls = 0
+        fn()
+        return calls
+
+    residuum, build = {}, {}
+    for n in (16, 32):
+        spec = RepresentationSpec((1,) * n, ("III",) * (n - 1))
+        top = build_representation(spec, MODE_I_II).top
+        unit = top.unit()
+        residuum[n] = counted(lambda: top.residuum(unit, unit))
+        build[n] = counted(lambda: build_standard_target(spec))
+    assert residuum[16] > 0 and build[16] > 0
+    assert residuum[32] <= 2.5 * residuum[16]
+    assert build[32] <= 5 * build[16]
