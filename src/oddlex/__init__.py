@@ -45,7 +45,7 @@ from .logic import (
     parse_theory,
     unit_interval_render,
 )
-from .plp import build_plp, is_grpart_discretely_embedded, plp_contains
+from .plp import build_plp
 from .towers import (
     Countertower,
     INT_IN_Q,

@@ -17,6 +17,11 @@ carrier membership of their operands and raise :class:`MembershipError`
 otherwise; the ``_``-prefixed variants skip validation and are used for
 recursion into components.
 
+Each class owns its order witnesses: next to the covers ``_cover_up`` and
+``_cover_down``, ``_below(e)``/``_above(e)`` give an element strictly below or
+above ``e`` and ``_between(x, y)`` one strictly between ``x < y``, each None
+where the order has none (a bound; ``y`` covering ``x``).
+
 Single-walk contract: each element operation and each membership test visits
 each node of an element tree O(1) times.  A product level that tests its first
 component's group-part coordinates takes them from the recursion that negates
@@ -32,16 +37,8 @@ from functools import cached_property
 from typing import Optional
 
 from .elements import BOT_BOUND, TOP_BOUND, Bound, Elem, Leaf, Marker, Pair, Second
-from .errors import MembershipError, PreconditionViolation, ShapeError, UndefinedCover
-from .groups import (
-    GroupChain,
-    QChain,
-    SubgroupDescriptor,
-    Trivial,
-    ZLex,
-    coordinate_kinds,
-    coords_of,
-)
+from .errors import MembershipError, PreconditionViolation, UndefinedCover
+from .groups import GroupChain, QChain, SubgroupDescriptor, Trivial, ZLex
 
 
 class PlpKind(enum.Enum):
@@ -66,9 +63,10 @@ class Algebra:
     def contains(self, e: Elem) -> bool:
         raise NotImplementedError
 
-    def ensure_member(self, e: Elem) -> None:
-        if not self.contains(e):
-            raise MembershipError(f"{e} is not an element of {self}")
+    def ensure_member(self, *elems: Elem) -> None:
+        for e in elems:
+            if not self.contains(e):
+                raise MembershipError(f"{e} is not an element of {self}")
 
     def unit(self) -> Elem:
         raise NotImplementedError
@@ -76,18 +74,15 @@ class Algebra:
     # -- order -----------------------------------------------------------
 
     def compare(self, a: Elem, b: Elem) -> int:
-        self.ensure_member(a)
-        self.ensure_member(b)
+        self.ensure_member(a, b)
         return self._compare(a, b)
 
     def leq(self, a: Elem, b: Elem) -> bool:
-        self.ensure_member(a)
-        self.ensure_member(b)
+        self.ensure_member(a, b)
         return self._compare(a, b) <= 0
 
     def lt(self, a: Elem, b: Elem) -> bool:
-        self.ensure_member(a)
-        self.ensure_member(b)
+        self.ensure_member(a, b)
         return self._compare(a, b) < 0
 
     def meet(self, a: Elem, b: Elem) -> Elem:
@@ -99,8 +94,7 @@ class Algebra:
     # -- operations --------------------------------------------------------
 
     def mult(self, a: Elem, b: Elem) -> Elem:
-        self.ensure_member(a)
-        self.ensure_member(b)
+        self.ensure_member(a, b)
         return self._mult(a, b)
 
     def neg(self, a: Elem) -> Elem:
@@ -109,8 +103,7 @@ class Algebra:
 
     def residuum(self, a: Elem, b: Elem) -> Elem:
         """``a -> b``, computed as ``neg(a * neg b)``; adjoint to ``mult``."""
-        self.ensure_member(a)
-        self.ensure_member(b)
+        self.ensure_member(a, b)
         return self._neg(self._mult(a, self._neg(b)))
 
     def tau(self, a: Elem) -> Elem:
@@ -167,6 +160,15 @@ class Algebra:
     def _cover_down(self, a: Elem) -> Elem:
         raise NotImplementedError
 
+    def _below(self, e: Elem) -> Optional[Elem]:
+        raise NotImplementedError
+
+    def _above(self, e: Elem) -> Optional[Elem]:
+        raise NotImplementedError
+
+    def _between(self, x: Elem, y: Elem) -> Optional[Elem]:
+        raise NotImplementedError
+
     def _group_coords(self, e: Elem) -> Optional[tuple]:
         """Coordinates of ``e`` in the ambient lex group, or None outside the group part."""
         raise NotImplementedError
@@ -221,15 +223,7 @@ class BaseAlgebra(Algebra):
     chain: GroupChain
 
     def contains(self, e: Elem) -> bool:
-        if not isinstance(e, Leaf):
-            return False
-        try:
-            self.chain.check(e.value)
-        except ShapeError:
-            return False
-        if isinstance(self.chain, QChain) and not isinstance(e.value, Fraction):
-            return False  # canonical form: rationals are stored as Fraction
-        return True
+        return isinstance(e, Leaf) and self.chain.is_canonical(e.value)
 
     def unit(self) -> Elem:
         return Leaf(self.chain.unit())
@@ -241,7 +235,7 @@ class BaseAlgebra(Algebra):
         return Leaf(self.chain.add(a.value, b.value))
 
     def _neg_coords(self, a, want):
-        return Leaf(self.chain.invert(a.value)), coords_of(self.chain, a.value) if want else None
+        return Leaf(self.chain.invert(a.value)), self.chain.coords(a.value) if want else None
 
     def _cover_up(self, a):
         return Leaf(self.chain.succ(a.value))
@@ -249,31 +243,24 @@ class BaseAlgebra(Algebra):
     def _cover_down(self, a):
         return Leaf(self.chain.pred(a.value))
 
+    def _below(self, e):
+        return _leaf(self.chain.below(e.value))
+
+    def _above(self, e):
+        return _leaf(self.chain.above(e.value))
+
+    def _between(self, x, y):
+        return _leaf(self.chain.between(x.value, y.value))
+
     def _group_coords(self, e):
-        return coords_of(self.chain, e.value) if self.contains(e) else None
+        return self.chain.coords(e.value) if self.contains(e) else None
 
     def _unflatten(self, coords):
-        if isinstance(self.chain, ZLex):
-            if len(coords) != self.chain.rank:
-                raise ShapeError(f"expected {self.chain.rank} coordinates, got {len(coords)}")
-            vals = []
-            for c in coords:
-                f = Fraction(c)
-                if f.denominator != 1:
-                    raise ShapeError(f"non-integer coordinate {c} for a Z position")
-                vals.append(int(f))
-            return Leaf(tuple(vals))
-        if isinstance(self.chain, QChain):
-            if len(coords) != 1:
-                raise ShapeError("expected a single rational coordinate")
-            return Leaf(Fraction(coords[0]))
-        if coords not in ((), []):
-            raise ShapeError("the trivial chain has no coordinates")
-        return Leaf(())
+        return Leaf(self.chain.from_coords(coords))
 
     @cached_property
     def ambient_kinds(self):
-        return coordinate_kinds(self.chain)
+        return self.chain.kinds
 
     @cached_property
     def group_part_descriptor(self):
@@ -281,14 +268,14 @@ class BaseAlgebra(Algebra):
 
     @property
     def is_unbounded(self):
-        return not isinstance(self.chain, Trivial)
+        return bool(self.ambient_kinds)  # only the one-element chain has no coordinates
 
     @property
     def grpart_discretely_embedded(self):
-        return isinstance(self.chain, ZLex)
+        return self.chain.discretely_ordered
 
     def density_obstruction(self):
-        if isinstance(self.chain, ZLex):
+        if self.chain.discretely_ordered:
             return f"base chain {self.chain} is discretely ordered"
         return None
 
@@ -302,6 +289,10 @@ class BaseAlgebra(Algebra):
 
     def __str__(self):
         return str(self.chain)
+
+
+def _leaf(value) -> Optional[Leaf]:
+    return None if value is None else Leaf(value)
 
 
 @dataclass(frozen=True)
@@ -410,6 +401,50 @@ class PlpAlgebra(Algebra):
 
     def _cover_down(self, a):
         return Pair(a.first, self.second._cover_down(a.second))
+
+    def _on_free_marker(self, x: Optional[Elem]) -> Optional[Elem]:
+        """``x`` paired with the marker every first component takes (B for III, T for IV)."""
+        return None if x is None else Pair(x, Marker.BOT if self.has_bot_marker else Marker.TOP)
+
+    def _below(self, e):
+        return self._on_free_marker(self.first._below(e.first))
+
+    def _above(self, e):
+        return self._on_free_marker(self.first._above(e.first))
+
+    def _between(self, x, y):
+        first, second = self.first, self.second
+        a, s = x.first, x.second
+        b, u = y.first, y.second
+        if first._compare(a, b) < 0:
+            mid = first._between(a, b)
+            if mid is not None:
+                return self._on_free_marker(mid)
+            # b covers a in the first component: squeeze into the boundary fibers
+            if self.has_bot_marker:
+                if s is not Marker.TOP and self._in_subgroup(self.zdesc, a):
+                    return Pair(a, Marker.TOP)
+                if u is not Marker.BOT:
+                    return Pair(b, Marker.BOT)
+                return None
+            if s is not Marker.TOP:
+                return Pair(a, Marker.TOP)
+            if u is Marker.TOP:
+                w = second.unit() if self._in_subgroup(self.vdesc, b) else None
+            else:
+                w = second._below(u)
+            return None if w is None else Pair(b, w)
+
+        # equal first components; compare second components within the fiber
+        if s is Marker.BOT:
+            if not self._in_subgroup(self.vdesc, a):
+                return None  # marker-only fiber
+            w = second.unit() if u is Marker.TOP else second._below(u)
+        elif u is Marker.TOP:
+            w = second._above(s)
+        else:
+            w = second._between(s, u)
+        return None if w is None else Pair(a, w)
 
     # -- group part ----------------------------------------------------------
 
@@ -551,6 +586,19 @@ class BoundedAlgebra(Algebra):
 
     def _cover_down(self, a):
         return self.inner._cover_down(a)
+
+    def _below(self, e):
+        return None if e is BOT_BOUND else BOT_BOUND
+
+    def _above(self, e):
+        return None if e is TOP_BOUND else TOP_BOUND
+
+    def _between(self, x, y):
+        if x is BOT_BOUND:
+            return self.inner.unit() if y is TOP_BOUND else self.inner._below(y)
+        if y is TOP_BOUND:
+            return self.inner._above(x)
+        return self.inner._between(x, y)
 
     def _group_coords(self, e):
         return None if isinstance(e, Bound) else self.inner._group_coords(e)

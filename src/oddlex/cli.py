@@ -79,9 +79,13 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise OddlexError(f"--samples must be a positive integer, got {samples}")
+
+
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise OddlexError(f"--samples must be a positive integer, got {args.samples}")
+    _check_samples(args.samples)
     spec = _load_spec(args.spec)
     reports = run_verification(spec, args.suite, args.samples, args.seed,
                                standard=args.standard)
@@ -167,6 +171,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_iso_check(args) -> int:
+    _check_samples(args.samples)
     pairs = []
     for chunk in args.pairs.split(";"):
         try:

@@ -3,13 +3,16 @@
 Three chains are supported: ``Z^k`` under lexicographic order (written
 additively), the rationals ``Q``, and the one-element group.  Viewed as odd
 residuated chains they carry ``x * y = x + y``, ``neg x = -x`` and
-``t = f = 0``; the richer operations live on the algebra layer, this module
-only provides the group arithmetic, the order, covers, and coordinatewise
-subgroup descriptors.
+``t = f = 0``; the richer operations live on the algebra layer.  This module
+provides the group arithmetic, the order, covers and coordinatewise subgroup
+descriptors, and is the one place that tells the three chains apart: each owns
+its coordinates, canonical form, window, seeded sample and strict witnesses.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -30,11 +33,32 @@ class ZLex:
         if self.rank < 1:
             raise ShapeError("ZLex rank must be >= 1 (use Trivial for rank 0)")
 
+    def is_canonical(self, a: GroupValue) -> bool:
+        return (isinstance(a, tuple) and len(a) == self.rank
+                and all(isinstance(c, int) for c in a))
+
     def check(self, a: GroupValue) -> tuple:
-        if not (isinstance(a, tuple) and len(a) == self.rank
-                and all(isinstance(c, int) for c in a)):
+        if not self.is_canonical(a):
             raise ShapeError(f"expected an integer vector of length {self.rank}, got {a!r}")
         return a
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        return ("Z",) * self.rank
+
+    def coords(self, a: tuple) -> tuple:
+        return a
+
+    def from_coords(self, coords: Sequence) -> tuple:
+        if len(coords) != self.rank:
+            raise ShapeError(f"expected {self.rank} coordinates, got {len(coords)}")
+        vals = []
+        for c in coords:
+            f = Fraction(c)
+            if f.denominator != 1:
+                raise ShapeError(f"non-integer coordinate {c} for a Z position")
+            vals.append(int(f))
+        return tuple(vals)
 
     def compare(self, a: GroupValue, b: GroupValue) -> int:
         a, b = self.check(a), self.check(b)
@@ -60,6 +84,20 @@ class ZLex:
         a = self.check(a)
         return a[:-1] + (a[-1] - 1,)
 
+    # The nearest strict witnesses of a discrete chain are its covers.
+    below, above = pred, succ
+
+    def between(self, a: tuple, b: tuple) -> Optional[tuple]:
+        nxt = self.succ(a)
+        return None if nxt == b else nxt
+
+    def window(self, radius: int) -> list:
+        return sorted(itertools.product(range(-radius, radius + 1), repeat=self.rank),
+                      key=lambda t: (sum(abs(c) for c in t), t))
+
+    def sample(self, rng: random.Random, magnitude: int) -> tuple:
+        return tuple(rng.randint(-magnitude, magnitude) for _ in range(self.rank))
+
     @property
     def discretely_ordered(self) -> bool:
         return True
@@ -71,6 +109,11 @@ class ZLex:
 @dataclass(frozen=True)
 class QChain:
     """The rationals with their natural order; densely ordered."""
+
+    kinds = ("Q",)
+
+    def is_canonical(self, a: GroupValue) -> bool:
+        return isinstance(a, Fraction)  # rationals are stored as Fraction
 
     def check(self, a: GroupValue) -> Fraction:
         if isinstance(a, int):
@@ -92,11 +135,37 @@ class QChain:
     def unit(self) -> Fraction:
         return Fraction(0)
 
+    def coords(self, a: Fraction) -> tuple:
+        return (a,)
+
+    def from_coords(self, coords: Sequence) -> Fraction:
+        if len(coords) != 1:
+            raise ShapeError("expected a single rational coordinate")
+        return Fraction(coords[0])
+
     def succ(self, a: GroupValue) -> GroupValue:
         raise NotDiscretelyOrdered("Q is densely ordered; no element has a cover")
 
     def pred(self, a: GroupValue) -> GroupValue:
         raise NotDiscretelyOrdered("Q is densely ordered; no element has a cover")
+
+    def below(self, a: Fraction) -> Fraction:
+        return a - 1
+
+    def above(self, a: Fraction) -> Fraction:
+        return a + 1
+
+    def between(self, a: Fraction, b: Fraction) -> Fraction:
+        return (a + b) / 2
+
+    def window(self, radius: int) -> list:
+        vals = {Fraction(p, q) for q in (1, 2, 3)
+                for p in range(-radius * q, radius * q + 1)}
+        return sorted(vals, key=lambda v: (abs(v), v))
+
+    def sample(self, rng: random.Random, magnitude: int) -> Fraction:
+        return Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
+                        rng.randint(1, magnitude))
 
     @property
     def discretely_ordered(self) -> bool:
@@ -109,6 +178,11 @@ class QChain:
 @dataclass(frozen=True)
 class Trivial:
     """The one-element group, represented by the empty integer vector."""
+
+    kinds = ()
+
+    def is_canonical(self, a: GroupValue) -> bool:
+        return a == ()
 
     def check(self, a: GroupValue) -> tuple:
         if a != ():
@@ -129,11 +203,30 @@ class Trivial:
     def unit(self) -> tuple:
         return ()
 
+    def coords(self, a: tuple) -> tuple:
+        return ()
+
+    def from_coords(self, coords: Sequence) -> tuple:
+        if coords:
+            raise ShapeError("the trivial chain has no coordinates")
+        return ()
+
     def succ(self, a: GroupValue) -> GroupValue:
         raise NotDiscretelyOrdered("the one-element chain has no covers")
 
     def pred(self, a: GroupValue) -> GroupValue:
         raise NotDiscretelyOrdered("the one-element chain has no covers")
+
+    def below(self, *values: tuple) -> None:
+        return None  # one element: nothing lies strictly beside it
+
+    above = between = below
+
+    def window(self, radius: int) -> list:
+        return [()]
+
+    def sample(self, rng: random.Random, magnitude: int) -> tuple:
+        return ()
 
     @property
     def discretely_ordered(self) -> bool:
@@ -144,23 +237,6 @@ class Trivial:
 
 
 GroupChain = Union[ZLex, QChain, Trivial]
-
-
-def coords_of(chain: GroupChain, a: GroupValue) -> tuple:
-    """Flatten a group value into its coordinate tuple (empty for Trivial)."""
-    a = chain.check(a)
-    if isinstance(chain, QChain):
-        return (a,)
-    return a
-
-
-def coordinate_kinds(chain: GroupChain) -> tuple[str, ...]:
-    """Per-coordinate markers, "Z" or "Q"."""
-    if isinstance(chain, ZLex):
-        return ("Z",) * chain.rank
-    if isinstance(chain, QChain):
-        return ("Q",)
-    return ()
 
 
 # Descriptor entry encoding: None = whole coordinate, Fraction(0) = only zero,

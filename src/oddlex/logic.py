@@ -18,6 +18,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
@@ -398,14 +399,8 @@ def rendered(cm: Countermodel) -> Countermodel:
         _eval(A, phi, cm.assignment, trace=elems)
     if isinstance(A, BoundedAlgebra):
         elems.update((TOP_BOUND, BOT_BOUND))
-    ordered = sorted(elems, key=_order_key(A))
+    ordered = sorted(elems, key=cmp_to_key(A._compare))
     return replace(cm, rendering=unit_interval_render(A, ordered))
-
-
-def _order_key(algebra: Algebra):
-    import functools
-
-    return functools.cmp_to_key(algebra._compare)
 
 
 def unit_interval_render(algebra: Algebra,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .chains import Algebra, BoundedAlgebra, PlpAlgebra, PlpKind
-from .elements import Elem
 from .errors import PreconditionViolation, ShapeError
 from .groups import SubgroupDescriptor
 
@@ -76,18 +75,3 @@ def build_plp(kind: str,
     else:
         v = checked(vdesc, "V")
     return PlpAlgebra(PlpKind.IV, first, None, v, second)
-
-
-def plp_contains(product: Algebra, e: Elem) -> bool:
-    """Carrier membership for a product algebra."""
-    if not isinstance(product, PlpAlgebra):
-        raise ShapeError(f"{product} is not a partial lexicographic product")
-    return product.contains(e)
-
-
-def is_grpart_discretely_embedded(algebra: Algebra) -> bool:
-    """Structural test: does every group-part element keep its covers inside?
-
-    Reduces to the last lexicographic factor being discretely ordered.
-    """
-    return algebra.grpart_discretely_embedded

@@ -9,24 +9,11 @@ countermodel search reproducible.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from .chains import Algebra, BaseAlgebra, BoundedAlgebra
 from .elements import BOT_BOUND, TOP_BOUND, Bound, Elem, Leaf, Marker, Pair, format_elem
-from .groups import QChain, SubgroupDescriptor, ZLex
-
-
-def _window_values(chain, radius: int) -> list:
-    if isinstance(chain, ZLex):
-        vals = sorted(itertools.product(range(-radius, radius + 1), repeat=chain.rank),
-                      key=lambda t: (sum(abs(c) for c in t), t))
-        return list(vals)
-    if isinstance(chain, QChain):
-        vals = {Fraction(p, q) for q in (1, 2, 3)
-                for p in range(-radius * q, radius * q + 1)}
-        return sorted(vals, key=lambda v: (abs(v), v))
-    return [()]
+from .groups import SubgroupDescriptor
 
 
 def _elem_size(e) -> Fraction:
@@ -56,7 +43,7 @@ def window_elements(algebra: Algebra, radius: int = 3, cap: int = 4000) -> list[
 
 def _window_all(algebra: Algebra, radius: int, cap: int) -> list[Elem]:
     if isinstance(algebra, BaseAlgebra):
-        return [Leaf(v) for v in _window_values(algebra.chain, radius)]
+        return [Leaf(v) for v in algebra.chain.window(radius)]
     if isinstance(algebra, BoundedAlgebra):
         return [BOT_BOUND, TOP_BOUND] + _window_all(algebra.inner, radius, cap)
     first_window = window_elements(algebra.first, radius, cap)
@@ -101,14 +88,7 @@ def sample_group_elem(algebra: Algebra,
 def sample_elem(algebra: Algebra, rng: random.Random, magnitude: int = 8) -> Elem:
     """A random carrier member; every carrier clause has positive probability."""
     if isinstance(algebra, BaseAlgebra):
-        chain = algebra.chain
-        if isinstance(chain, ZLex):
-            return Leaf(tuple(rng.randint(-magnitude, magnitude)
-                              for _ in range(chain.rank)))
-        if isinstance(chain, QChain):
-            return Leaf(Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
-                                 rng.randint(1, magnitude)))
-        return Leaf(())
+        return Leaf(algebra.chain.sample(rng, magnitude))
     if isinstance(algebra, BoundedAlgebra):
         roll = rng.random()
         if roll < 0.05:

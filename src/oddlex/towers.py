@@ -29,21 +29,20 @@ from typing import Optional, Sequence
 from .chains import (
     Algebra,
     BaseAlgebra,
-    BoundedAlgebra,
     PlpAlgebra,
     PlpKind,
     q_chain,
     trivial_chain,
     z_chain,
 )
-from .elements import BOT_BOUND, TOP_BOUND, Elem, Leaf, Marker, Pair
+from .elements import Elem, Leaf, Marker, Pair
 from .errors import (
     ClosureBudgetExceeded,
     NotDense,
     PreconditionViolation,
     ShapeError,
 )
-from .groups import QChain, SubgroupDescriptor, Trivial, ZLex
+from .groups import SubgroupDescriptor
 
 #: Z sitting inside Q, as a coordinatewise descriptor.
 INT_IN_Q = SubgroupDescriptor((Fraction(1),))
@@ -300,7 +299,7 @@ class StandardTarget:
         return self.stages[-1]
 
     def _embed_group_value(self, target: Algebra, source_stage: BaseAlgebra, leaf: Leaf) -> Elem:
-        if isinstance(source_stage.chain, Trivial):
+        if not source_stage.ambient_kinds:  # rank 0: the trivial group
             return target.unit()
         return target._unflatten(source_stage._group_coords(leaf))
 
@@ -477,94 +476,6 @@ def zjk_iso_inverse(j: int, k: int, e: Elem) -> Elem:
 # Constructive density
 
 
-def _strictly_below(algebra: Algebra, e: Elem) -> Optional[Elem]:
-    """Some element strictly below ``e``, or None in a bounded chain."""
-    if isinstance(algebra, BaseAlgebra):
-        chain = algebra.chain
-        if isinstance(chain, ZLex):
-            return Leaf(chain.pred(e.value))
-        if isinstance(chain, QChain):
-            return Leaf(e.value - 1)
-        return None
-    if isinstance(algebra, BoundedAlgebra):
-        return None if e is BOT_BOUND else BOT_BOUND
-    below = _strictly_below(algebra.first, e.first)
-    if below is None:
-        return None
-    return Pair(below, Marker.BOT if algebra.has_bot_marker else Marker.TOP)
-
-
-def _strictly_above(algebra: Algebra, e: Elem) -> Optional[Elem]:
-    if isinstance(algebra, BaseAlgebra):
-        chain = algebra.chain
-        if isinstance(chain, ZLex):
-            return Leaf(chain.succ(e.value))
-        if isinstance(chain, QChain):
-            return Leaf(e.value + 1)
-        return None
-    if isinstance(algebra, BoundedAlgebra):
-        return None if e is TOP_BOUND else TOP_BOUND
-    above = _strictly_above(algebra.first, e.first)
-    if above is None:
-        return None
-    return Pair(above, Marker.BOT if algebra.has_bot_marker else Marker.TOP)
-
-
-def _between_opt(algebra: Algebra, x: Elem, y: Elem) -> Optional[Elem]:
-    """An element strictly between x < y, or None when y covers x."""
-    if isinstance(algebra, BaseAlgebra):
-        chain = algebra.chain
-        if isinstance(chain, ZLex):
-            nxt = Leaf(chain.succ(x.value))
-            return None if nxt == y else nxt
-        if isinstance(chain, QChain):
-            return Leaf((x.value + y.value) / 2)
-        return None
-    if isinstance(algebra, BoundedAlgebra):
-        if x is BOT_BOUND:
-            return algebra.inner.unit() if y is TOP_BOUND else _strictly_below(algebra.inner, y)
-        if y is TOP_BOUND:
-            return _strictly_above(algebra.inner, x)
-        return _between_opt(algebra.inner, x, y)
-
-    first, second = algebra.first, algebra.second
-    a, s = x.first, x.second
-    b, u = y.first, y.second
-    if first._compare(a, b) < 0:
-        mid = _between_opt(first, a, b)
-        if mid is not None:
-            return Pair(mid, Marker.BOT if algebra.has_bot_marker else Marker.TOP)
-        # b covers a in the first component: squeeze into the boundary fibers
-        if algebra.has_bot_marker:
-            if s is not Marker.TOP and algebra._in_subgroup(algebra.zdesc, a):
-                return Pair(a, Marker.TOP)
-            if u is not Marker.BOT:
-                return Pair(b, Marker.BOT)
-            return None
-        if s is not Marker.TOP:
-            return Pair(a, Marker.TOP)
-        if u is Marker.TOP:
-            if algebra._in_subgroup(algebra.vdesc, b):
-                return Pair(b, second.unit())
-            return None
-        w = _strictly_below(second, u)
-        return None if w is None else Pair(b, w)
-
-    # equal first components; compare second components within the fiber
-    if s is Marker.BOT:
-        if not algebra._in_subgroup(algebra.vdesc, a):
-            return None  # marker-only fiber
-        if u is Marker.TOP:
-            return Pair(a, second.unit())
-        w = _strictly_below(second, u)
-        return None if w is None else Pair(a, w)
-    if u is Marker.TOP:
-        w = _strictly_above(second, s)
-        return None if w is None else Pair(a, w)
-    w = _between_opt(second, s, u)
-    return None if w is None else Pair(a, w)
-
-
 def between(algebra: Algebra, x: Elem, y: Elem) -> Elem:
     """A witness strictly between ``x < y`` in a densely ordered algebra.
 
@@ -573,14 +484,13 @@ def between(algebra: Algebra, x: Elem, y: Elem) -> Elem:
     recurse into the fiber, stepping through covers where the fiber's chain
     has them.
     """
-    algebra.ensure_member(x)
-    algebra.ensure_member(y)
+    algebra.ensure_member(x, y)
     if algebra._compare(x, y) >= 0:
         raise PreconditionViolation("between requires x < y")
     obstruction = algebra.density_obstruction()
     if obstruction is not None:
         raise NotDense(obstruction)
-    witness = _between_opt(algebra, x, y)
+    witness = algebra._between(x, y)
     if witness is None:  # unreachable on a structurally dense order
         raise NotDense(f"no element between {x} and {y}")
     return witness
@@ -595,8 +505,7 @@ def closure_elements(algebra: Algebra,
                      depth: int,
                      max_elements: int = 20000) -> list[Elem]:
     """All values of terms over *, ->, neg, meet, join of nesting depth <= depth."""
-    for g in generators:
-        algebra.ensure_member(g)
+    algebra.ensure_member(*generators)
     if depth < 0:
         raise ShapeError("depth must be >= 0")
     key = cmp_to_key(algebra._compare)

@@ -144,7 +144,10 @@ def test_iso_check_command(capsys):
     (["verify", "SPEC", "--samples", "-5"], "got -5"),
     (["iso-check", "--pairs", "1"], "'1'"),
     (["iso-check", "--pairs", "1,x"], "'1,x'"),
-], ids=["samples-0", "samples-negative", "pairs-one-value", "pairs-non-integer"])
+    (["iso-check", "--samples", "0"], "--samples must be a positive integer, got 0"),
+    (["iso-check", "--samples", "-3"], "--samples must be a positive integer, got -3"),
+], ids=["samples-0", "samples-negative", "pairs-one-value", "pairs-non-integer",
+        "iso-samples-0", "iso-samples-negative"])
 def test_bad_sample_counts_and_pairs_are_usage_errors(tmp_path, capsys, argv, named):
     spec = write_spec(tmp_path, "spec.json", SPEC_Z)
     assert main([spec if a == "SPEC" else a for a in argv]) == 2

@@ -14,10 +14,8 @@ from oddlex import (
     ZLex,
     adjoin_bounds,
     build_plp,
-    is_grpart_discretely_embedded,
     make_qj,
     make_zj,
-    plp_contains,
     q_chain,
     qelem,
     trivial_chain,
@@ -72,7 +70,7 @@ def test_type1_carrier_matches_set_equation():
     is_int = lambda e: e.value.denominator == 1
     expected = carrier_type3(xs, is_int, is_int, ys)
     for cand in all_candidates(xs, ys):
-        assert plp_contains(A, cand) == (cand in expected)
+        assert A.contains(cand) == (cand in expected)
 
 
 def test_type3_carrier_matches_set_equation():
@@ -81,7 +79,7 @@ def test_type3_carrier_matches_set_equation():
     ys = window_elements(z_chain(), radius=3)
     expected = carrier_type3(xs, lambda e: True, lambda e: e.value[0] % 2 == 0, ys)
     for cand in all_candidates(xs, ys):
-        assert plp_contains(A, cand) == (cand in expected)
+        assert A.contains(cand) == (cand in expected)
 
 
 def test_type2_carrier_matches_set_equation():
@@ -90,7 +88,7 @@ def test_type2_carrier_matches_set_equation():
     ys = window_elements(z_chain(), radius=3)
     expected = carrier_type4(xs, lambda e: True, ys)
     for cand in all_candidates(xs, ys):
-        assert plp_contains(A, cand) == (cand in expected)
+        assert A.contains(cand) == (cand in expected)
 
 
 def test_type4_carrier_matches_set_equation():
@@ -99,19 +97,14 @@ def test_type4_carrier_matches_set_equation():
     ys = window_elements(z_chain(), radius=3)
     expected = carrier_type4(xs, lambda e: e.value[0] % 2 == 0, ys)
     for cand in all_candidates(xs, ys):
-        assert plp_contains(A, cand) == (cand in expected)
+        assert A.contains(cand) == (cand in expected)
 
 
 def test_carrier_examples():
     QZQ = build_plp("I", q_chain(), zdesc=INT_IN_Q, second=q_chain())
-    assert not plp_contains(QZQ, Pair(qelem(1, 2), qelem(3)))
-    assert plp_contains(QZQ, Pair(qelem(1, 2), Marker.BOT))
-    assert plp_contains(make_zj(2), Pair(zelem(7), Marker.TOP))
-
-
-def test_plp_contains_requires_a_product():
-    with pytest.raises(ShapeError):
-        plp_contains(z_chain(), zelem(0))
+    assert not QZQ.contains(Pair(qelem(1, 2), qelem(3)))
+    assert QZQ.contains(Pair(qelem(1, 2), Marker.BOT))
+    assert make_zj(2).contains(Pair(zelem(7), Marker.TOP))
 
 
 # -- construction preconditions -----------------------------------------------
@@ -181,13 +174,13 @@ def test_trivial_first_component_refuses_type2():
 # -- discrete embedding of the group part -------------------------------------
 
 def test_discrete_embedding_structural_cases():
-    assert is_grpart_discretely_embedded(z_chain())
-    assert not is_grpart_discretely_embedded(q_chain())
-    assert not is_grpart_discretely_embedded(trivial_chain())
+    assert z_chain().grpart_discretely_embedded
+    assert not q_chain().grpart_discretely_embedded
+    assert not trivial_chain().grpart_discretely_embedded
     for j in (1, 2, 3, 4):
-        assert is_grpart_discretely_embedded(make_zj(j))
-    assert not is_grpart_discretely_embedded(
-        build_plp("I", q_chain(), zdesc=INT_IN_Q, second=q_chain()))
+        assert make_zj(j).grpart_discretely_embedded
+    assert not build_plp("I", q_chain(), zdesc=INT_IN_Q,
+                         second=q_chain()).grpart_discretely_embedded
 
 
 def test_discrete_embedding_matches_sampled_cover_search():
@@ -196,7 +189,7 @@ def test_discrete_embedding_matches_sampled_cover_search():
 
     for A in (make_zj(2), make_zj(3), make_qj(2),
               build_plp("I", q_chain(), zdesc=INT_IN_Q, second=z_chain())):
-        structural = is_grpart_discretely_embedded(A)
+        structural = A.grpart_discretely_embedded
         g = sample_group_elem(A, A.group_part_descriptor, r)
         window = window_elements(A, radius=2, cap=600)
         above = [w for w in window if A.lt(g, w)]

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from oddlex import (
+    BOT_BOUND,
+    TOP_BOUND,
     ClosureBudgetExceeded,
     INT_IN_Q,
     Marker,
@@ -12,6 +14,7 @@ from oddlex import (
     RepresentationSpec,
     ShapeError,
     SubgroupDescriptor,
+    adjoin_bounds,
     between,
     build_plp,
     build_representation,
@@ -24,6 +27,7 @@ from oddlex import (
     normalize_spec,
     q_chain,
     qelem,
+    trivial_chain,
     z_chain,
     zelem,
     zjk_iso,
@@ -355,15 +359,22 @@ def test_group_elements_interleave_nongroup_elements_in_z_towers():
 
 
 def test_rational_towers_are_unbounded_at_every_sample():
-    from oddlex.towers import _strictly_above, _strictly_below
-
+    """Strict witnesses exist on both sides of every element except at a bound."""
     r = rng("unbounded")
-    for A in (make_qj(1), make_qj(2), make_qj(3)):
+    bounded = adjoin_bounds(z_chain())
+    for A in (make_qj(1), make_qj(2), make_qj(3), z_chain(), make_zj(2), bounded):
         for _ in range(300):
             e = sample_elem(A, r)
-            above, below = _strictly_above(A, e), _strictly_below(A, e)
-            assert above is not None and A.lt(e, above)
-            assert below is not None and A.lt(below, e)
+            above, below = A._above(e), A._below(e)
+            assert (above is None) == (e is TOP_BOUND)
+            assert (below is None) == (e is BOT_BOUND)
+            assert above is None or A.lt(e, above)
+            assert below is None or A.lt(below, e)
+    assert bounded._above(TOP_BOUND) is None and bounded._below(BOT_BOUND) is None
+    one = trivial_chain()
+    assert one._above(one.unit()) is None and one._below(one.unit()) is None
+    assert z_chain()._between(zelem(0), zelem(1)) is None
+    assert z_chain()._between(zelem(0), zelem(2)) == zelem(1)
 
 
 def test_bounded_case_with_a_trivial_first_stage():
