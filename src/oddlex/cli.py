@@ -66,15 +66,17 @@ def cmd_build(args) -> int:
             print(f"note: consecutive type IV stages merged; ranks now {list(target.spec.ranks)}")
     else:
         tower = build_representation(spec, args.mode)
+    # One serialisation serves both stdout and the tower file.
+    text = json.dumps(tower_to_json(tower), indent=2) if args.json or args.out else None
     if args.json:
-        print(json.dumps(tower_to_json(tower), indent=2))
+        print(text)
     else:
         print(f"mode: {tower.mode}")
         for line in _stage_lines(tower.stages):
             print(line)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(tower_to_json(tower), fh, indent=2)
+            fh.write(text)
         print(f"tower written to {args.out}", file=sys.stderr)
     return 0
 

@@ -11,7 +11,6 @@ its coordinates, canonical form, window, seeded sample and strict witnesses.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,9 +90,19 @@ class ZLex:
         nxt = self.succ(a)
         return None if nxt == b else nxt
 
-    def window(self, radius: int) -> list:
-        return sorted(itertools.product(range(-radius, radius + 1), repeat=self.rank),
-                      key=lambda t: (sum(abs(c) for c in t), t))
+    def window(self, radius: int, cap: int) -> list:
+        """Vectors in the box [-radius, radius]^rank, by whole L1 shells.
+
+        Shells 0, 1, 2, ... are added until the list holds at least ``cap``
+        vectors, so it contains the ``cap`` vectors of least L1 norm without
+        building the rest of the box.
+        """
+        out: list = []
+        for norm in range(self.rank * radius + 1):
+            if len(out) >= cap:
+                break
+            out.extend(_l1_shell(self.rank, norm, radius))
+        return out
 
     def sample(self, rng: random.Random, magnitude: int) -> tuple:
         return tuple(rng.randint(-magnitude, magnitude) for _ in range(self.rank))
@@ -158,7 +167,8 @@ class QChain:
     def between(self, a: Fraction, b: Fraction) -> Fraction:
         return (a + b) / 2
 
-    def window(self, radius: int) -> list:
+    def window(self, radius: int, cap: int) -> list:
+        # O(radius) values: the whole box, whatever the cap.
         vals = {Fraction(p, q) for q in (1, 2, 3)
                 for p in range(-radius * q, radius * q + 1)}
         return sorted(vals, key=lambda v: (abs(v), v))
@@ -222,7 +232,7 @@ class Trivial:
 
     above = between = below
 
-    def window(self, radius: int) -> list:
+    def window(self, radius: int, cap: int) -> list:
         return [()]
 
     def sample(self, rng: random.Random, magnitude: int) -> tuple:
@@ -237,6 +247,20 @@ class Trivial:
 
 
 GroupChain = Union[ZLex, QChain, Trivial]
+
+
+def _l1_shell(rank: int, norm: int, radius: int):
+    """Integer vectors of length ``rank`` with L1 norm ``norm`` and every
+    entry in [-radius, radius], in lexicographic order."""
+    if rank == 0:
+        if norm == 0:
+            yield ()
+        return
+    rest_max = (rank - 1) * radius  # the largest norm the other entries reach
+    for c in range(-min(radius, norm), min(radius, norm) + 1):
+        if norm - abs(c) <= rest_max:
+            for tail in _l1_shell(rank - 1, norm - abs(c), radius):
+                yield (c,) + tail
 
 
 # Descriptor entry encoding: None = whole coordinate, Fraction(0) = only zero,

@@ -1,64 +1,82 @@
 """Deterministic element generation: systematic windows and seeded samplers.
 
-The window enumerates every carrier member whose coordinates stay inside a
-small radius, ordered by size so that elements near the unit come first; the
-random sampler draws arbitrary carrier members with seeded randomness.  Both
-are pure functions of their inputs, which keeps every verification run and
-countermodel search reproducible.
+The window holds the carrier members whose coordinates stay inside a small
+radius, ordered by size so that elements near the unit come first.  It is
+built level by level: each level returns its capped rows ``((size, literal),
+element)``, and a pair takes its key from the rows of its components (sizes
+add, literals nest), so no element tree is walked twice.  A ``Z^k`` chain
+enumerates its box by whole L1 shells and stops after the shell that reaches
+the cap.  The random sampler draws arbitrary carrier members with seeded
+randomness.  Both are pure functions of their inputs, which keeps every
+verification run and countermodel search reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import itemgetter
 from .chains import Algebra, BaseAlgebra, BoundedAlgebra
-from .elements import BOT_BOUND, TOP_BOUND, Bound, Elem, Leaf, Marker, Pair, format_elem
+from .elements import BOT_BOUND, TOP_BOUND, Elem, Leaf, Marker, Pair, format_group_value
+from .errors import ShapeError
 from .groups import SubgroupDescriptor
 
-
-def _elem_size(e) -> Fraction:
-    if isinstance(e, Bound):
-        return Fraction(1, 4)
-    if isinstance(e, Marker):
-        return Fraction(1, 4)
-    if isinstance(e, Leaf):
-        v = e.value
-        if isinstance(v, Fraction):
-            return abs(v)
-        return Fraction(sum(abs(c) for c in v))
-    return _elem_size(e.first) + _elem_size(e.second)
+# Sizes are exact integers counting twelfths: a marker or a global bound
+# weighs 1/4, and window rationals have denominators 1..3.
+_MARKER_SIZE = 3
 
 
 def window_elements(algebra: Algebra, radius: int = 3, cap: int = 4000) -> list[Elem]:
-    """Every element with coordinates in [-radius, radius], smallest first.
+    """Up to ``cap`` elements with coordinates in [-radius, radius], smallest first.
 
-    Rational coordinates range over denominators 1..3.  The list is truncated
-    to ``cap`` entries after sorting, so shrinking the cap never changes which
-    small elements appear.
+    Rational coordinates range over denominators 1..3.  An element's size is
+    the sum of the absolute values of its coordinates, each marker and global
+    bound counting 1/4; ties are broken by the literal.  On a base chain the
+    result is the ``cap`` smallest elements of the box, so a smaller cap gives
+    a prefix of a larger one.  A product pairs the capped windows of its
+    components and stops pairing once it holds more than ``3 * cap``
+    candidates, so there a smaller cap can drop or admit elements that a
+    larger cap orders differently; the result is still sorted by size.
     """
-    out = _window_all(algebra, radius, cap)
-    out.sort(key=lambda e: (_elem_size(e), format_elem(e)))
-    return out[:cap]
+    return [e for _, e in _window_rows(algebra, radius, cap)]
 
 
-def _window_all(algebra: Algebra, radius: int, cap: int) -> list[Elem]:
+def _window_rows(algebra: Algebra, radius: int, cap: int) -> list:
+    rows = _candidate_rows(algebra, radius, cap)
+    rows.sort(key=itemgetter(0))
+    return rows[:cap]
+
+
+def _leaf_row(value) -> tuple:
+    size = abs(value) if isinstance(value, Fraction) else sum(abs(c) for c in value)
+    twelfths = Fraction(size) * 12
+    if twelfths.denominator != 1:
+        raise ShapeError(f"window value {value} has a denominator outside 1..3")
+    return (twelfths.numerator, format_group_value(value)), Leaf(value)
+
+
+def _candidate_rows(algebra: Algebra, radius: int, cap: int) -> list:
+    """Unsorted keyed rows: the candidates ``window_elements`` sorts and caps."""
     if isinstance(algebra, BaseAlgebra):
-        return [Leaf(v) for v in algebra.chain.window(radius)]
+        return [_leaf_row(v) for v in algebra.chain.window(radius, cap)]
     if isinstance(algebra, BoundedAlgebra):
-        return [BOT_BOUND, TOP_BOUND] + _window_all(algebra.inner, radius, cap)
-    first_window = window_elements(algebra.first, radius, cap)
-    second_window = window_elements(algebra.second, radius, cap)
-    out: list[Elem] = []
-    for x in first_window:
+        return [((_MARKER_SIZE, BOT_BOUND.value), BOT_BOUND),
+                ((_MARKER_SIZE, TOP_BOUND.value), TOP_BOUND)] \
+            + _candidate_rows(algebra.inner, radius, cap)
+    second_rows = _window_rows(algebra.second, radius, cap)
+    out: list = []
+    for (size, lit), x in _window_rows(algebra.first, radius, cap):
         coords = algebra.first._group_coords(x)
+        marked = size + _MARKER_SIZE
         if algebra.has_bot_marker:
-            out.append(Pair(x, Marker.BOT))
+            out.append(((marked, f"({lit}, B)"), Pair(x, Marker.BOT)))
             if coords is not None and algebra.zdesc.contains_coords(coords):
-                out.append(Pair(x, Marker.TOP))
+                out.append(((marked, f"({lit}, T)"), Pair(x, Marker.TOP)))
         else:
-            out.append(Pair(x, Marker.TOP))
+            out.append(((marked, f"({lit}, T)"), Pair(x, Marker.TOP)))
         if coords is not None and algebra.vdesc.contains_coords(coords):
-            out.extend(Pair(x, y) for y in second_window)
+            out.extend(((size + ysize, f"({lit}, {ylit})"), Pair(x, y))
+                       for (ysize, ylit), y in second_rows)
         if len(out) > 3 * cap:
             break
     return out

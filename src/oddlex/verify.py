@@ -67,12 +67,15 @@ class _Recorder:
     def __init__(self, name: str):
         self.check = PropertyCheck(name, 0, 0)
 
-    def tally(self, ok: bool, witness: str = "") -> None:
+    def tally(self, ok: bool, witness: str = "", *elems: Elem) -> None:
+        """Count one sample.  A failure keeps up to five witnesses, each
+        ``witness`` with the literals of ``elems`` filled into its ``{}``
+        slots; nothing is formatted for a passing sample."""
         self.check.samples += 1
         if not ok:
             self.check.failures += 1
             if len(self.check.witnesses) < 5:
-                self.check.witnesses.append(witness)
+                self.check.witnesses.append(witness.format(*map(format_elem, elems)))
 
 
 def adjointness_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
@@ -82,14 +85,14 @@ def adjointness_suite(algebra: Algebra, rng: random.Random, samples: int) -> lis
         a, b, v = (sample_elem(algebra, rng) for _ in range(3))
         lhs = algebra._compare(algebra._mult(a, v), b) <= 0
         rhs = algebra._compare(v, algebra._neg(algebra._mult(a, algebra._neg(b)))) <= 0
-        rec.tally(lhs == rhs, f"a={format_elem(a)} b={format_elem(b)} v={format_elem(v)}")
+        rec.tally(lhs == rhs, "a={} b={} v={}", a, b, v)
     res = _Recorder("residuum is the maximum: a*(a->b) <= b and t <= a->a")
     for _ in range(samples // 10 + 1):
         a, b = sample_elem(algebra, rng), sample_elem(algebra, rng)
         r = algebra._neg(algebra._mult(a, algebra._neg(b)))
         ok = algebra._compare(algebra._mult(a, r), b) <= 0
         ok = ok and algebra._compare(unit, algebra._neg(algebra._mult(a, algebra._neg(a)))) <= 0
-        res.tally(ok, f"a={format_elem(a)} b={format_elem(b)}")
+        res.tally(ok, "a={} b={}", a, b)
     return [rec.check, res.check]
 
 
@@ -98,13 +101,13 @@ def involution_suite(algebra: Algebra, rng: random.Random, samples: int) -> list
     rev = _Recorder("negation reverses the order")
     for _ in range(samples):
         a, b = sample_elem(algebra, rng), sample_elem(algebra, rng)
-        dneg.tally(algebra._neg(algebra._neg(a)) == a, format_elem(a))
+        dneg.tally(algebra._neg(algebra._neg(a)) == a, "{}", a)
         rev.tally((algebra._compare(a, b) <= 0)
                   == (algebra._compare(algebra._neg(b), algebra._neg(a)) <= 0),
-                  f"a={format_elem(a)} b={format_elem(b)}")
+                  "a={} b={}", a, b)
     odd = _Recorder("oddness: neg t = t")
     t = algebra.unit()
-    odd.tally(algebra._neg(t) == t, format_elem(t))
+    odd.tally(algebra._neg(t) == t, "{}", t)
     return [dneg.check, rev.check, odd.check]
 
 
@@ -117,10 +120,10 @@ def monoid_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pro
         ok = algebra._mult(a, b) == algebra._mult(b, a)
         ok = ok and algebra._mult(a, algebra._mult(b, c)) == algebra._mult(algebra._mult(a, b), c)
         ok = ok and algebra._mult(a, unit) == a
-        laws.tally(ok, f"a={format_elem(a)} b={format_elem(b)} c={format_elem(c)}")
+        laws.tally(ok, "a={} b={} c={}", a, b, c)
         if algebra._compare(a, b) <= 0:
             mono.tally(algebra._compare(algebra._mult(a, c), algebra._mult(b, c)) <= 0,
-                       f"a={format_elem(a)} b={format_elem(b)} c={format_elem(c)}")
+                       "a={} b={} c={}", a, b, c)
     return [laws.check, mono.check]
 
 
@@ -151,7 +154,7 @@ def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Proper
         ok = algebra._mult(ta, ta) == ta
         ok = ok and algebra._compare(unit, ta) <= 0
         ok = ok and algebra._neg(algebra._mult(ta, algebra._neg(ta))) == ta
-        idem.tally(ok, format_elem(a))
+        idem.tally(ok, "{}", a)
     count = PropertyCheck("distinct tau values match the structural count",
                           samples, 0 if len(seen) == algebra.idempotent_count else 1,
                           [], f"observed {len(seen)}, expected {algebra.idempotent_count}")
@@ -165,7 +168,7 @@ def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Proper
         for t in taus[1:]:
             if algebra._compare(biggest, t) < 0:
                 biggest = t
-        terms.tally(tv == biggest, format_elem(value))
+        terms.tally(tv == biggest, "{}", value)
     return [idem.check, count, terms.check]
 
 
@@ -177,7 +180,7 @@ def covers_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pro
             a = sample_group_elem(algebra, gdesc, rng)
             try:
                 algebra.cover_up(a)
-                rec.tally(False, format_elem(a))
+                rec.tally(False, "{}", a)
             except UndefinedCover:
                 rec.tally(True)
         return [rec.check]
@@ -190,7 +193,7 @@ def covers_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pro
         ok = ok and algebra._group_coords(up) is not None
         probe = sample_elem(algebra, rng)
         ok = ok and not (algebra._compare(a, probe) < 0 and algebra._compare(probe, up) < 0)
-        rec.tally(ok, format_elem(a))
+        rec.tally(ok, "{}", a)
     return [rec.check]
 
 
@@ -203,10 +206,10 @@ def group_part_suite(algebra: Algebra, rng: random.Random, samples: int) -> list
         h = sample_group_elem(algebra, gdesc, rng)
         ok = algebra._group_coords(algebra._mult(g, h)) is not None
         ok = ok and algebra._group_coords(algebra._neg(g)) is not None
-        closure.tally(ok, f"g={format_elem(g)} h={format_elem(h)}")
+        closure.tally(ok, "g={} h={}", g, h)
         a = sample_elem(algebra, rng)
         eq = algebra._mult(a, algebra._neg(a)) == algebra.unit()
-        agree.tally(eq == (algebra._group_coords(a) is not None), format_elem(a))
+        agree.tally(eq == (algebra._group_coords(a) is not None), "{}", a)
     return [closure.check, agree.check]
 
 
@@ -219,7 +222,7 @@ def density_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pr
         else:
             try:
                 between(algebra, *pair)
-                rec.tally(False, f"{format_elem(pair[0])} .. {format_elem(pair[1])}")
+                rec.tally(False, "{} .. {}", *pair)
             except NotDense:
                 rec.tally(True)
         return [rec.check]
@@ -231,7 +234,7 @@ def density_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pr
         x, y = pair
         z = between(algebra, x, y)
         rec.tally(algebra._compare(x, z) < 0 and algebra._compare(z, y) < 0,
-                  f"{format_elem(x)} .. {format_elem(y)} -> {format_elem(z)}")
+                  "{} .. {} -> {}", x, y, z)
     return [rec.check]
 
 
@@ -254,7 +257,7 @@ def inclusion_suite(spec: RepresentationSpec, rng: random.Random,
             ok = ok and sub._mult(a, b) == sup._mult(a, b)
             ok = ok and sub._neg(a) == sup._neg(a)
             ok = ok and sub._compare(a, b) == sup._compare(a, b)
-            rec.tally(ok, f"a={format_elem(a)} b={format_elem(b)}")
+            rec.tally(ok, "a={} b={}", a, b)
         checks.append(rec.check)
     return checks
 
@@ -274,7 +277,7 @@ def embedding_suite(target: StandardTarget, rng: random.Random,
             ok = target.embed(idx, src._mult(a, b)) == dst._mult(fa, fb)
             ok = ok and target.embed(idx, src._neg(a)) == dst._neg(fa)
             ok = ok and src._compare(a, b) == dst._compare(fa, fb)
-            rec.tally(ok, f"a={format_elem(a)} b={format_elem(b)}")
+            rec.tally(ok, "a={} b={}", a, b)
         checks.append(rec.check)
     return checks
 
@@ -296,7 +299,7 @@ def iso_suite(rng: random.Random, samples: int,
             ok = ok and zjk_iso(j, k, product._mult(a, b)) == flat._mult(fa, fb)
             ok = ok and zjk_iso(j, k, product._neg(a)) == flat._neg(fa)
             ok = ok and (a == b) == (fa == fb)
-            rec.tally(ok, f"a={format_elem(a)} b={format_elem(b)}")
+            rec.tally(ok, "a={} b={}", a, b)
         checks.append(rec.check)
     for triple in ((z_chain(), z_chain(), z_chain()),
                    (z_chain(), z_chain(), q_chain())):
@@ -312,7 +315,7 @@ def iso_suite(rng: random.Random, samples: int,
             ok = ok and fusion.left._compare(a, b) == fusion.right._compare(fa, fb)
             ok = ok and fusion.to_right(fusion.left._mult(a, b)) == fusion.right._mult(fa, fb)
             ok = ok and fusion.to_right(fusion.left._neg(a)) == fusion.right._neg(fa)
-            rec.tally(ok, f"a={format_elem(a)} b={format_elem(b)}")
+            rec.tally(ok, "a={} b={}", a, b)
         checks.append(rec.check)
     return checks
 
@@ -333,7 +336,8 @@ STRUCTURE_SUITES = {
     "group-part": group_part_suite,
 }
 
-SUITE_NAMES = ("all", "adjoint", "involution", "tau", "iso", "density")
+SUITE_NAMES = ("all", "adjoint", "involution", "tau", "iso", "density",
+               "structure", "covers", "group-part")
 
 
 def run_verification(spec: RepresentationSpec, suite: str, samples: int,
@@ -352,20 +356,18 @@ def run_verification(spec: RepresentationSpec, suite: str, samples: int,
     subjects.append((f"bounded top: {adjoin_bounds(stages[-1])}", adjoin_bounds(stages[-1])))
 
     reports: list[SuiteReport] = []
-    wanted = PER_ALGEBRA_SUITES if suite == "all" else {
-        k: v for k, v in PER_ALGEBRA_SUITES.items() if k == suite}
-    for name, fn in wanted.items():
-        for subject, algebra in subjects:
-            checks = fn(algebra, _rng(seed, name, subject), samples)
-            reports.append(SuiteReport(name, subject, checks))
-    if suite == "all":
-        for name, fn in STRUCTURE_SUITES.items():
+    # The structure suites run a quarter of the samples, alone or under "all".
+    for suites, count in ((PER_ALGEBRA_SUITES, samples),
+                          (STRUCTURE_SUITES, max(samples // 4, 1))):
+        for name, fn in suites.items():
+            if suite not in ("all", name):
+                continue
             for subject, algebra in subjects:
-                checks = fn(algebra, _rng(seed, name, subject), max(samples // 4, 1))
+                checks = fn(algebra, _rng(seed, name, subject), count)
                 reports.append(SuiteReport(name, subject, checks))
-        if any(d is not None for d in spec.vdescs):
-            checks = inclusion_suite(spec, _rng(seed, "inclusion"), max(samples // 4, 1))
-            reports.append(SuiteReport("inclusion", "III-IV stages inside I-II stages", checks))
+    if suite == "all" and any(d is not None for d in spec.vdescs):
+        checks = inclusion_suite(spec, _rng(seed, "inclusion"), max(samples // 4, 1))
+        reports.append(SuiteReport("inclusion", "III-IV stages inside I-II stages", checks))
     if suite in ("all", "iso"):
         reports.append(SuiteReport("iso", "canonical tower isomorphisms",
                                    iso_suite(_rng(seed, "iso"), max(samples // 4, 1))))

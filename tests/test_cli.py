@@ -31,6 +31,14 @@ def test_build_prints_stages_and_writes_a_round_tripping_tower(tmp_path, capsys)
     assert tower.stages[0].ambient_kinds == ("Z",)
 
 
+def test_build_json_stdout_equals_the_written_tower(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_12)
+    out = tmp_path / "tower.json"
+    assert main(["build", spec, "--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text() + "\n"
+    assert len(tower_from_json(json.loads(out.read_text())).stages) == 2
+
+
 def test_build_standard_produces_the_dense_companion(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", SPEC_12)
     assert main(["build", spec, "--standard"]) == 0
@@ -69,6 +77,19 @@ def test_verify_rejects_unknown_suite(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", spec, "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite", ["structure", "covers", "group-part"])
+def test_structure_suites_run_alone_as_under_all(tmp_path, capsys, suite):
+    spec = write_spec(tmp_path, "spec.json", SPEC_12)
+    argv = ["verify", spec, "--samples", "40", "--seed", "3", "--json"]
+    assert main(argv + ["--suite", suite]) == 0
+    alone = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    everything = json.loads(capsys.readouterr().out)
+    assert alone["suites"], suite
+    assert alone["suites"] == [r for r in everything["suites"] if r["suite"] == suite]
+    assert all(c["samples"] <= 10 for r in alone["suites"] for c in r["checks"])
 
 
 def test_countermodel_found_with_rendering(tmp_path, capsys):

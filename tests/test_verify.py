@@ -1,0 +1,31 @@
+from oddlex import verify
+from oddlex.chains import z_chain
+from oddlex.elements import Leaf, format_elem
+from oddlex.verify import _Recorder, involution_suite, _rng
+
+
+def test_witnesses_are_formatted_only_for_kept_failures(monkeypatch):
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return format_elem(e)
+
+    monkeypatch.setattr(verify, "format_elem", counting)
+    rec = _Recorder("law")
+    a, b = Leaf((1,)), Leaf((-2,))
+    for _ in range(10):
+        rec.tally(True, "a={} b={}", a, b)
+    assert calls == []
+    for _ in range(7):
+        rec.tally(False, "a={} b={}", a, b)
+    rec.tally(False, "unit")
+    assert (rec.check.samples, rec.check.failures) == (18, 8)
+    assert rec.check.witnesses == ["a=1 b=-2"] * 5
+    assert len(calls) == 10  # two literals for each of the five kept witnesses
+
+
+def test_passing_suites_format_nothing(monkeypatch):
+    monkeypatch.setattr(verify, "format_elem", lambda e: 1 / 0)
+    checks = involution_suite(z_chain(2), _rng(0, "involution"), 50)
+    assert all(c.ok and not c.witnesses for c in checks)
