@@ -8,6 +8,7 @@ failure, 2 usage and validation errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .logic import (
     parse_theory,
     rendered,
 )
-from .serialize import algebra_to_json, tower_to_json
+from .serialize import algebra_to_json, write_tower_json
 from .towers import (
     Countertower,
     MODE_I_II,
@@ -63,20 +64,22 @@ def cmd_build(args) -> int:
         target = build_standard_target(spec)
         tower = Countertower(target.spec, "standard", target.stages)
         if len(target.spec.ranks) != len(spec.ranks):
-            print(f"note: consecutive type IV stages merged; ranks now {list(target.spec.ranks)}")
+            print(f"note: consecutive type IV stages merged; ranks now {list(target.spec.ranks)}",
+                  file=sys.stderr)
     else:
         tower = build_representation(spec, args.mode)
-    # One serialisation serves both stdout and the tower file.
-    text = json.dumps(tower_to_json(tower), indent=2) if args.json or args.out else None
-    if args.json:
-        print(text)
-    else:
-        print(f"mode: {tower.mode}")
-        for line in _stage_lines(tower.stages):
-            print(line)
+    # The tower file is opened first, so that a bad path prints nothing.
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        files = ([sys.stdout] if args.json else []) + ([out] if out else [])
+        if files:
+            write_tower_json(tower, *files)
+        if args.json:
+            print()
+        else:
+            print(f"mode: {tower.mode}")
+            for line in _stage_lines(tower.stages):
+                print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print(f"tower written to {args.out}", file=sys.stderr)
     return 0
 
@@ -143,10 +146,10 @@ def cmd_countermodel(args) -> int:
     doc = cm.to_json()
     doc["result"] = "found"
     text = json.dumps(doc, indent=2)
-    print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
     return 0
 
 

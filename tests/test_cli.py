@@ -39,6 +39,27 @@ def test_build_json_stdout_equals_the_written_tower(tmp_path, capsys):
     assert len(tower_from_json(json.loads(out.read_text())).stages) == 2
 
 
+def test_build_standard_json_with_merged_iv_runs_parses(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_Z3)
+    assert main(["build", spec, "--standard", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["spec"]["ranks"] == [1, 2]
+    assert "note: consecutive type IV stages merged" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--json"],
+    ["countermodel", "(p*p)->p", "--budget", "5000"],
+], ids=["build", "countermodel"])
+def test_unwritable_out_path_prints_nothing(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, "spec.json", SPEC_Z)
+    out = tmp_path / "missing" / "out.json"
+    assert main([argv[0], spec, *argv[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_build_standard_produces_the_dense_companion(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", SPEC_12)
     assert main(["build", spec, "--standard"]) == 0
