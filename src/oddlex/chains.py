@@ -12,10 +12,16 @@ unit-preserving tau map).  Three shapes exist:
   added first as an annihilator and the bottom added second (so the bottom
   dominates the top under multiplication).
 
-All values are immutable and every operation is pure.  Operations validate
-carrier membership of their operands and raise :class:`MembershipError`
-otherwise; the ``_``-prefixed variants skip validation and are used for
-recursion into components.
+All values are immutable and every operation is pure.  Validation happens
+once, where values enter: the public operations check carrier membership of
+their operands and raise :class:`MembershipError` otherwise, and carrier
+membership checks the canonical form of every group leaf.  The
+``_``-prefixed variants trust their operands: they skip validation all the
+way down, comparing leaf values natively and using the group chains' unchecked
+``_add``/``_invert``/``_succ``/``_pred``.  They are used for recursion into
+components and on values validated earlier (formula evaluation, the samplers,
+the suites).  The residuum ``a -> b = neg(a * neg b)`` has one raw form,
+:meth:`Algebra._residuum`, with ``_tau(a) = a -> a``.
 
 Each class owns its order witnesses: next to the covers ``_cover_up`` and
 ``_cover_down``, ``_below(e)``/``_above(e)`` give an element strictly below or
@@ -104,12 +110,12 @@ class Algebra:
     def residuum(self, a: Elem, b: Elem) -> Elem:
         """``a -> b``, computed as ``neg(a * neg b)``; adjoint to ``mult``."""
         self.ensure_member(a, b)
-        return self._neg(self._mult(a, self._neg(b)))
+        return self._residuum(a, b)
 
     def tau(self, a: Elem) -> Elem:
         """``a -> a``; its range is exactly the positive idempotents."""
         self.ensure_member(a)
-        return self._neg(self._mult(a, self._neg(a)))
+        return self._tau(a)
 
     def group_part_contains(self, a: Elem) -> bool:
         """True iff ``a * neg(a) = t``, i.e. ``a`` is invertible."""
@@ -149,6 +155,12 @@ class Algebra:
 
     def _neg(self, a: Elem) -> Elem:
         return self._neg_coords(a, False)[0]
+
+    def _residuum(self, a: Elem, b: Elem) -> Elem:
+        return self._neg(self._mult(a, self._neg(b)))
+
+    def _tau(self, a: Elem) -> Elem:
+        return self._residuum(a, a)
 
     def _neg_coords(self, a: Elem, want: bool) -> tuple[Elem, Optional[tuple]]:
         """``neg a`` and, when ``want``, :meth:`_group_coords` of ``a`` (else None)."""
@@ -229,19 +241,20 @@ class BaseAlgebra(Algebra):
         return Leaf(self.chain.unit())
 
     def _compare(self, a, b):
-        return self.chain.compare(a.value, b.value)
+        a, b = a.value, b.value
+        return (a > b) - (a < b)
 
     def _mult(self, a, b):
-        return Leaf(self.chain.add(a.value, b.value))
+        return Leaf(self.chain._add(a.value, b.value))
 
     def _neg_coords(self, a, want):
-        return Leaf(self.chain.invert(a.value)), self.chain.coords(a.value) if want else None
+        return Leaf(self.chain._invert(a.value)), self.chain.coords(a.value) if want else None
 
     def _cover_up(self, a):
-        return Leaf(self.chain.succ(a.value))
+        return Leaf(self.chain._succ(a.value))
 
     def _cover_down(self, a):
-        return Leaf(self.chain.pred(a.value))
+        return Leaf(self.chain._pred(a.value))
 
     def _below(self, e):
         return _leaf(self.chain.below(e.value))

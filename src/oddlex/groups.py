@@ -7,10 +7,16 @@ residuated chains they carry ``x * y = x + y``, ``neg x = -x`` and
 provides the group arithmetic, the order, covers and coordinatewise subgroup
 descriptors, and is the one place that tells the three chains apart: each owns
 its coordinates, canonical form, window, seeded sample and strict witnesses.
+
+The public ``compare``, ``add``, ``invert``, ``succ`` and ``pred`` check that
+their arguments are canonical values of the chain.  The ``_``-prefixed
+``_add``, ``_invert``, ``_succ`` and ``_pred`` trust them: the algebra layer's
+raw element ops call these on values validated where they entered.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,30 +70,42 @@ class ZLex:
         return (a > b) - (a < b)
 
     def add(self, a: GroupValue, b: GroupValue) -> tuple:
-        a, b = self.check(a), self.check(b)
-        return tuple(x + y for x, y in zip(a, b))
+        return self._add(self.check(a), self.check(b))
 
     def invert(self, a: GroupValue) -> tuple:
-        a = self.check(a)
-        return tuple(-x for x in a)
+        return self._invert(self.check(a))
+
+    @staticmethod
+    def _add(a: tuple, b: tuple) -> tuple:
+        return tuple(map(operator.add, a, b))
+
+    @staticmethod
+    def _invert(a: tuple) -> tuple:
+        return tuple(map(operator.neg, a))
 
     def unit(self) -> tuple:
         return (0,) * self.rank
 
     def succ(self, a: GroupValue) -> tuple:
-        # The unique upper cover in lex order bumps the last coordinate.
-        a = self.check(a)
-        return a[:-1] + (a[-1] + 1,)
+        return self._succ(self.check(a))
 
     def pred(self, a: GroupValue) -> tuple:
-        a = self.check(a)
+        return self._pred(self.check(a))
+
+    @staticmethod
+    def _succ(a: tuple) -> tuple:
+        # The unique upper cover in lex order bumps the last coordinate.
+        return a[:-1] + (a[-1] + 1,)
+
+    @staticmethod
+    def _pred(a: tuple) -> tuple:
         return a[:-1] + (a[-1] - 1,)
 
     # The nearest strict witnesses of a discrete chain are its covers.
-    below, above = pred, succ
+    below, above = _pred, _succ
 
     def between(self, a: tuple, b: tuple) -> Optional[tuple]:
-        nxt = self.succ(a)
+        nxt = self._succ(a)
         return None if nxt == b else nxt
 
     def window(self, radius: int, cap: int) -> list:
@@ -141,6 +159,14 @@ class QChain:
     def invert(self, a: GroupValue) -> Fraction:
         return -self.check(a)
 
+    @staticmethod
+    def _add(a: Fraction, b: Fraction) -> Fraction:
+        return a + b
+
+    @staticmethod
+    def _invert(a: Fraction) -> Fraction:
+        return -a
+
     def unit(self) -> Fraction:
         return Fraction(0)
 
@@ -157,6 +183,8 @@ class QChain:
 
     def pred(self, a: GroupValue) -> GroupValue:
         raise NotDiscretelyOrdered("Q is densely ordered; no element has a cover")
+
+    _succ, _pred = succ, pred
 
     def below(self, a: Fraction) -> Fraction:
         return a - 1
@@ -210,6 +238,14 @@ class Trivial:
     def invert(self, a: GroupValue) -> tuple:
         return self.check(a)
 
+    @staticmethod
+    def _add(a: tuple, b: tuple) -> tuple:
+        return ()
+
+    @staticmethod
+    def _invert(a: tuple) -> tuple:
+        return ()
+
     def unit(self) -> tuple:
         return ()
 
@@ -226,6 +262,8 @@ class Trivial:
 
     def pred(self, a: GroupValue) -> GroupValue:
         raise NotDiscretelyOrdered("the one-element chain has no covers")
+
+    _succ, _pred = succ, pred
 
     def below(self, *values: tuple) -> None:
         return None  # one element: nothing lies strictly beside it
@@ -321,6 +359,8 @@ class SubgroupDescriptor:
         if len(coords) != len(self.entries):
             raise ShapeError(
                 f"descriptor has {len(self.entries)} coordinates, value has {len(coords)}")
+        if not self._constrained:
+            return True
         # c lies in (p/q)Z iff c*q/p is an integer; for c = a/b, iff b*p divides a*q.
         for i, p, q in self._constrained:
             c = coords[i]

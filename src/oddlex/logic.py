@@ -253,7 +253,7 @@ def _eval(algebra: Algebra, formula: Formula, assignment: dict[str, Elem],
         elif isinstance(formula, Fuse):
             value = algebra._mult(lhs, rhs)
         else:
-            value = algebra._neg(algebra._mult(lhs, algebra._neg(rhs)))
+            value = algebra._residuum(lhs, rhs)
     if trace is not None:
         trace.add(value)
     return value

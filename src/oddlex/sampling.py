@@ -3,12 +3,17 @@
 The window holds the carrier members whose coordinates stay inside a small
 radius, ordered by size so that elements near the unit come first.  It is
 built level by level: each level returns its capped rows ``((size, literal),
-element)``, and a pair takes its key from the rows of its components (sizes
-add, literals nest), so no element tree is walked twice.  A ``Z^k`` chain
-enumerates its box by whole L1 shells and stops after the shell that reaches
-the cap.  The random sampler draws arbitrary carrier members with seeded
-randomness.  Both are pure functions of their inputs, which keeps every
-verification run and countermodel search reproducible.
+element, group_coords)``.  A pair takes its key and its group coordinates
+from the rows of its components: sizes add, literals nest, and ``(x, y)``
+gets ``cx + cy`` (None on the marker fibers and the global bounds), so no
+element tree is walked twice.  A level builds ``Pair`` elements only for the
+rows that survive its sort and cap.  One ``window_elements`` call computes
+each component's rows once, in a dict passed down the recursion, so the
+levels of a left-nested tower share their second chain's window.  A ``Z^k``
+chain enumerates its box by whole L1 shells and stops after the shell that
+reaches the cap.  The random sampler draws arbitrary carrier members with
+seeded randomness.  Both are pure functions of their inputs, which keeps
+every verification run and countermodel search reproducible.
 """
 
 from __future__ import annotations
@@ -38,45 +43,53 @@ def window_elements(algebra: Algebra, radius: int = 3, cap: int = 4000) -> list[
     candidates, so there a smaller cap can drop or admit elements that a
     larger cap orders differently; the result is still sorted by size.
     """
-    return [e for _, e in _window_rows(algebra, radius, cap)]
+    return [e for _, e, _ in _window_rows(algebra, radius, cap, {})]
 
 
-def _window_rows(algebra: Algebra, radius: int, cap: int) -> list:
-    rows = _candidate_rows(algebra, radius, cap)
-    rows.sort(key=itemgetter(0))
-    return rows[:cap]
+def _window_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list:
+    """The capped rows ``((size, literal), element, group_coords)`` of
+    ``algebra``'s window; ``memo`` maps each algebra already done in this
+    call to its rows."""
+    rows = memo.get(algebra)
+    if rows is None:
+        rows = _candidate_rows(algebra, radius, cap, memo)
+        rows.sort(key=itemgetter(0))
+        memo[algebra] = rows = [(key, x if s is None else Pair(x, s), coords)
+                                for key, x, s, coords in rows[:cap]]
+    return rows
 
 
-def _leaf_row(value) -> tuple:
+def _leaf_row(chain, value) -> tuple:
     size = abs(value) if isinstance(value, Fraction) else sum(abs(c) for c in value)
     twelfths = Fraction(size) * 12
     if twelfths.denominator != 1:
         raise ShapeError(f"window value {value} has a denominator outside 1..3")
-    return (twelfths.numerator, format_group_value(value)), Leaf(value)
+    return (twelfths.numerator, format_group_value(value)), Leaf(value), None, chain.coords(value)
 
 
-def _candidate_rows(algebra: Algebra, radius: int, cap: int) -> list:
-    """Unsorted keyed rows: the candidates ``window_elements`` sorts and caps."""
+def _candidate_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list:
+    """Unsorted candidates ``(key, x, s, group_coords)`` that ``_window_rows``
+    sorts and caps; the element is ``x`` when ``s`` is None, else ``Pair(x, s)``."""
     if isinstance(algebra, BaseAlgebra):
-        return [_leaf_row(v) for v in algebra.chain.window(radius, cap)]
+        return [_leaf_row(algebra.chain, v) for v in algebra.chain.window(radius, cap)]
     if isinstance(algebra, BoundedAlgebra):
-        return [((_MARKER_SIZE, BOT_BOUND.value), BOT_BOUND),
-                ((_MARKER_SIZE, TOP_BOUND.value), TOP_BOUND)] \
-            + _candidate_rows(algebra.inner, radius, cap)
-    second_rows = _window_rows(algebra.second, radius, cap)
+        return [((_MARKER_SIZE, BOT_BOUND.value), BOT_BOUND, None, None),
+                ((_MARKER_SIZE, TOP_BOUND.value), TOP_BOUND, None, None)] \
+            + _candidate_rows(algebra.inner, radius, cap, memo)
+    second_rows = _window_rows(algebra.second, radius, cap, memo)
     out: list = []
-    for (size, lit), x in _window_rows(algebra.first, radius, cap):
-        coords = algebra.first._group_coords(x)
+    for (size, lit), x, cx in _window_rows(algebra.first, radius, cap, memo):
         marked = size + _MARKER_SIZE
         if algebra.has_bot_marker:
-            out.append(((marked, f"({lit}, B)"), Pair(x, Marker.BOT)))
-            if coords is not None and algebra.zdesc.contains_coords(coords):
-                out.append(((marked, f"({lit}, T)"), Pair(x, Marker.TOP)))
+            out.append(((marked, f"({lit}, B)"), x, Marker.BOT, None))
+            if cx is not None and algebra.zdesc.contains_coords(cx):
+                out.append(((marked, f"({lit}, T)"), x, Marker.TOP, None))
         else:
-            out.append(((marked, f"({lit}, T)"), Pair(x, Marker.TOP)))
-        if coords is not None and algebra.vdesc.contains_coords(coords):
-            out.extend(((size + ysize, f"({lit}, {ylit})"), Pair(x, y))
-                       for (ysize, ylit), y in second_rows)
+            out.append(((marked, f"({lit}, T)"), x, Marker.TOP, None))
+        if cx is not None and algebra.vdesc.contains_coords(cx):
+            out.extend(((size + ysize, f"({lit}, {ylit})"), x, y,
+                        None if cy is None else cx + cy)
+                       for (ysize, ylit), y, cy in second_rows)
         if len(out) > 3 * cap:
             break
     return out

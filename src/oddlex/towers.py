@@ -96,7 +96,7 @@ class RepresentationSpec:
         if n < 1:
             raise ShapeError("ranks must list at least one stage")
         for i, k in enumerate(self.ranks):
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ShapeError(f"ranks[{i}] must be a non-negative integer")
         if len(self.iota) != n - 1:
             raise ShapeError(f"iota must have {n - 1} entries, got {len(self.iota)}")
@@ -133,10 +133,11 @@ class RepresentationSpec:
     def from_json(cls, data: dict) -> "RepresentationSpec":
         if not isinstance(data, dict):
             raise ShapeError("spec document must be a JSON object")
-        try:
-            ranks = tuple(data["ranks"])
-        except KeyError:
-            raise ShapeError("spec is missing field 'ranks'") from None
+        if "ranks" not in data:
+            raise ShapeError("spec is missing field 'ranks'")
+        if not isinstance(data["ranks"], list):
+            raise ShapeError("field 'ranks' must be a list")
+        ranks = tuple(data["ranks"])
         iota_raw = data.get("iota", [])
         if not isinstance(iota_raw, list):
             raise ShapeError("field 'iota' must be a list")
@@ -150,6 +151,8 @@ class RepresentationSpec:
             for i, entry in enumerate(raw):
                 if entry is None:
                     out.append(None)
+                elif not (isinstance(entry, list) and all(isinstance(s, str) for s in entry)):
+                    raise ShapeError(f"{name}[{i}] must be null or a list of strings")
                 else:
                     try:
                         out.append(SubgroupDescriptor.from_strings(entry))
@@ -523,8 +526,8 @@ def closure_elements(algebra: Algebra,
             add(algebra._neg(e))
         for e1, e2 in itertools.combinations_with_replacement(current, 2):
             add(algebra._mult(e1, e2))
-            add(algebra._neg(algebra._mult(e1, algebra._neg(e2))))
-            add(algebra._neg(algebra._mult(e2, algebra._neg(e1))))
+            add(algebra._residuum(e1, e2))
+            add(algebra._residuum(e2, e1))
             # meet and join of comparable elements are the elements themselves
         if len(seen) > max_elements:
             taus = {algebra.tau(e) for e in current}

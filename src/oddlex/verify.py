@@ -84,14 +84,14 @@ def adjointness_suite(algebra: Algebra, rng: random.Random, samples: int) -> lis
     for _ in range(samples):
         a, b, v = (sample_elem(algebra, rng) for _ in range(3))
         lhs = algebra._compare(algebra._mult(a, v), b) <= 0
-        rhs = algebra._compare(v, algebra._neg(algebra._mult(a, algebra._neg(b)))) <= 0
+        rhs = algebra._compare(v, algebra._residuum(a, b)) <= 0
         rec.tally(lhs == rhs, "a={} b={} v={}", a, b, v)
     res = _Recorder("residuum is the maximum: a*(a->b) <= b and t <= a->a")
     for _ in range(samples // 10 + 1):
         a, b = sample_elem(algebra, rng), sample_elem(algebra, rng)
-        r = algebra._neg(algebra._mult(a, algebra._neg(b)))
+        r = algebra._residuum(a, b)
         ok = algebra._compare(algebra._mult(a, r), b) <= 0
-        ok = ok and algebra._compare(unit, algebra._neg(algebra._mult(a, algebra._neg(a)))) <= 0
+        ok = ok and algebra._compare(unit, algebra._tau(a)) <= 0
         res.tally(ok, "a={} b={}", a, b)
     return [rec.check, res.check]
 
@@ -140,7 +140,7 @@ def random_term(algebra: Algebra, rng: random.Random, leaves: list[Elem], depth:
     r, ru = random_term(algebra, rng, leaves, depth - 1)
     if op == 1:
         return algebra._mult(l, r), lu + ru
-    return algebra._neg(algebra._mult(l, algebra._neg(r))), lu + ru
+    return algebra._residuum(l, r), lu + ru
 
 
 def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
@@ -149,11 +149,11 @@ def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Proper
     seen = set()
     for _ in range(samples):
         a = sample_elem(algebra, rng)
-        ta = algebra._neg(algebra._mult(a, algebra._neg(a)))
+        ta = algebra._tau(a)
         seen.add(ta)
         ok = algebra._mult(ta, ta) == ta
         ok = ok and algebra._compare(unit, ta) <= 0
-        ok = ok and algebra._neg(algebra._mult(ta, algebra._neg(ta))) == ta
+        ok = ok and algebra._tau(ta) == ta
         idem.tally(ok, "{}", a)
     count = PropertyCheck("distinct tau values match the structural count",
                           samples, 0 if len(seen) == algebra.idempotent_count else 1,
@@ -162,8 +162,8 @@ def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Proper
     pool = [sample_elem(algebra, rng) for _ in range(8)]
     for _ in range(max(samples // 10, 1)):
         value, used = random_term(algebra, rng, pool, depth=4)
-        tv = algebra._neg(algebra._mult(value, algebra._neg(value)))
-        taus = [algebra._neg(algebra._mult(u, algebra._neg(u))) for u in used]
+        tv = algebra._tau(value)
+        taus = [algebra._tau(u) for u in used]
         biggest = taus[0]
         for t in taus[1:]:
             if algebra._compare(biggest, t) < 0:

@@ -74,6 +74,27 @@ def test_build_rejects_malformed_iota(tmp_path, capsys):
     assert "iota" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"ranks": 5},
+    {"ranks": [1, 1], "iota": ["III"], "zdescs": [5]},
+    {"ranks": [1, 1], "iota": ["III"], "zdescs": [[None]]},
+    {"ranks": [True]},
+    {"ranks": [1, 1], "iota": ["III"], "zdescs": ["*"]},
+], ids=["ranks-not-a-list", "descriptor-not-a-list", "null-descriptor-entry",
+        "boolean-rank", "descriptor-as-string"])
+def test_malformed_spec_fields_are_validation_errors(tmp_path, capsys, doc):
+    from oddlex.errors import ShapeError
+    from oddlex.towers import RepresentationSpec
+
+    with pytest.raises(ShapeError):
+        RepresentationSpec.from_json(doc)
+    spec = write_spec(tmp_path, "spec.json", doc)
+    assert main(["build", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_verify_passes_on_a_tower_spec(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", SPEC_Z3)
     assert main(["verify", spec, "--suite", "adjoint",

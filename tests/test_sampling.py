@@ -18,7 +18,7 @@ from oddlex.cli import main
 from oddlex.elements import BOT_BOUND, TOP_BOUND, Bound, Leaf, Marker, Pair, format_elem
 from oddlex.errors import ShapeError
 from oddlex.groups import QChain, ZLex
-from oddlex.sampling import window_elements
+from oddlex.sampling import _window_rows, window_elements
 from oddlex.towers import (
     MODE_I_II,
     MODE_III_IV,
@@ -122,6 +122,13 @@ def test_window_matches_the_reference_definition(name):
         for cap in (10, 60, 400, 4000):
             assert window_elements(A, radius, cap) == reference_window(A, radius, cap), \
                 (name, radius, cap)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_window_rows_carry_the_group_coordinates(name):
+    A = ALGEBRAS[name]()
+    for _, e, coords in _window_rows(A, 3, 400, {}):
+        assert coords == A._group_coords(e), format_elem(e)
 
 
 @pytest.mark.parametrize("A", [z_chain(1), z_chain(3), q_chain(), trivial_chain()],
