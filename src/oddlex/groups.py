@@ -75,12 +75,10 @@ class ZLex:
     def invert(self, a: GroupValue) -> tuple:
         return self._invert(self.check(a))
 
-    @staticmethod
-    def _add(a: tuple, b: tuple) -> tuple:
+    def _add(self, a: tuple, b: tuple) -> tuple:
         return tuple(map(operator.add, a, b))
 
-    @staticmethod
-    def _invert(a: tuple) -> tuple:
+    def _invert(self, a: tuple) -> tuple:
         return tuple(map(operator.neg, a))
 
     def unit(self) -> tuple:
@@ -92,13 +90,11 @@ class ZLex:
     def pred(self, a: GroupValue) -> tuple:
         return self._pred(self.check(a))
 
-    @staticmethod
-    def _succ(a: tuple) -> tuple:
+    def _succ(self, a: tuple) -> tuple:
         # The unique upper cover in lex order bumps the last coordinate.
         return a[:-1] + (a[-1] + 1,)
 
-    @staticmethod
-    def _pred(a: tuple) -> tuple:
+    def _pred(self, a: tuple) -> tuple:
         return a[:-1] + (a[-1] - 1,)
 
     # The nearest strict witnesses of a discrete chain are its covers.
@@ -159,12 +155,10 @@ class QChain:
     def invert(self, a: GroupValue) -> Fraction:
         return -self.check(a)
 
-    @staticmethod
-    def _add(a: Fraction, b: Fraction) -> Fraction:
+    def _add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
 
-    @staticmethod
-    def _invert(a: Fraction) -> Fraction:
+    def _invert(self, a: Fraction) -> Fraction:
         return -a
 
     def unit(self) -> Fraction:
@@ -238,13 +232,10 @@ class Trivial:
     def invert(self, a: GroupValue) -> tuple:
         return self.check(a)
 
-    @staticmethod
-    def _add(a: tuple, b: tuple) -> tuple:
+    def _add(self, *values: tuple) -> tuple:
         return ()
 
-    @staticmethod
-    def _invert(a: tuple) -> tuple:
-        return ()
+    _invert = _add
 
     def unit(self) -> tuple:
         return ()

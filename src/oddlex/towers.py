@@ -144,7 +144,7 @@ class RepresentationSpec:
         iota = tuple(str(k) for k in iota_raw)
 
         def load(name) -> tuple:
-            raw = data.get(name) or []
+            raw = [] if data.get(name) is None else data[name]
             if not isinstance(raw, list):
                 raise ShapeError(f"field '{name}' must be a list")
             out = []

@@ -80,8 +80,10 @@ def test_build_rejects_malformed_iota(tmp_path, capsys):
     {"ranks": [1, 1], "iota": ["III"], "zdescs": [[None]]},
     {"ranks": [True]},
     {"ranks": [1, 1], "iota": ["III"], "zdescs": ["*"]},
+    {"ranks": [1, 1], "iota": ["III"], "zdescs": 0},
+    {"ranks": [1, 1], "iota": ["III"], "vdescs": False},
 ], ids=["ranks-not-a-list", "descriptor-not-a-list", "null-descriptor-entry",
-        "boolean-rank", "descriptor-as-string"])
+        "boolean-rank", "descriptor-as-string", "zero-descriptor-list", "false-descriptor-list"])
 def test_malformed_spec_fields_are_validation_errors(tmp_path, capsys, doc):
     from oddlex.errors import ShapeError
     from oddlex.towers import RepresentationSpec
