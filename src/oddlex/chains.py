@@ -17,11 +17,17 @@ once, where values enter: the public operations check carrier membership of
 their operands and raise :class:`MembershipError` otherwise, and carrier
 membership checks the canonical form of every group leaf.  The
 ``_``-prefixed variants trust their operands: they skip validation all the
-way down, comparing leaf values natively and using the group chains' unchecked
+way down and use the group chains' unchecked
 ``_add``/``_invert``/``_succ``/``_pred``.  They are used for recursion into
 components and on values validated earlier (formula evaluation, the samplers,
 the suites).  The residuum ``a -> b = neg(a * neg b)`` has one raw form,
 :meth:`Algebra._residuum`, with ``_tau(a) = a -> a``.
+
+The order is one flat key per element, :meth:`Algebra._key`, compared natively
+by :meth:`Algebra._compare` and by every sort: a leaf has ``(value,)``;
+``(x, B)``, ``(x, y)``, ``(x, T)`` have ``key(x)`` followed by ``0``,
+``1, *key(y)``, ``2``; the bounds give ``(0,)``, ``(1, *key)``, ``(2,)``.  No
+key is a proper prefix of another, so equal keys mean equal elements.
 
 Each class owns its order witnesses: next to the covers ``_cover_up`` and
 ``_cover_down``, ``_below(e)``/``_above(e)`` give an element strictly below or
@@ -46,19 +52,12 @@ from .elements import BOT_BOUND, TOP_BOUND, Bound, Elem, Leaf, Marker, Pair, Sec
 from .errors import MembershipError, PreconditionViolation, UndefinedCover
 from .groups import GroupChain, QChain, SubgroupDescriptor, Trivial, ZLex
 
+_BOT, _TOP = Marker.BOT, Marker.TOP  # plain names: ``Marker.BOT`` is a slow enum lookup
+
 
 class PlpKind(enum.Enum):
     III = "III"
     IV = "IV"
-
-
-def _second_rank(s: Second) -> int:
-    # Fiber order: bottom marker < any chain value < top marker.
-    if s is Marker.BOT:
-        return 0
-    if s is Marker.TOP:
-        return 2
-    return 1
 
 
 class Algebra:
@@ -72,7 +71,11 @@ class Algebra:
     def ensure_member(self, *elems: Elem) -> None:
         for e in elems:
             if not self.contains(e):
-                raise MembershipError(f"{e} is not an element of {self}")
+                try:
+                    shown = str(e)
+                except TypeError:  # a leaf holding something that is no group value
+                    shown = repr(e)
+                raise MembershipError(f"{shown} is not an element of {self}")
 
     def unit(self) -> Elem:
         raise NotImplementedError
@@ -148,6 +151,17 @@ class Algebra:
     # -- structural recursion ------------------------------------------------
 
     def _compare(self, a: Elem, b: Elem) -> int:
+        ka, kb = self._key(a), self._key(b)
+        return (ka > kb) - (ka < kb)
+
+    def _key(self, e: Elem) -> tuple:
+        """Flat, prefix-free order key of ``e``; native tuple order is the chain order."""
+        items: list = []
+        self._key_into(e, items.append)
+        return tuple(items)
+
+    def _key_into(self, e: Elem, add) -> None:
+        """Feed the items of ``e``'s key to ``add`` in order; one list serves the whole tree."""
         raise NotImplementedError
 
     def _mult(self, a: Elem, b: Elem) -> Elem:
@@ -240,9 +254,8 @@ class BaseAlgebra(Algebra):
     def unit(self) -> Elem:
         return Leaf(self.chain.unit())
 
-    def _compare(self, a, b):
-        a, b = a.value, b.value
-        return (a > b) - (a < b)
+    def _key_into(self, e, add):
+        add(e.value)
 
     def _mult(self, a, b):
         return Leaf(self.chain._add(a.value, b.value))
@@ -366,16 +379,17 @@ class PlpAlgebra(Algebra):
 
     # -- order ---------------------------------------------------------------
 
-    def _compare(self, a, b):
-        c = self.first._compare(a.first, b.first)
-        if c != 0:
-            return c
-        ra, rb = _second_rank(a.second), _second_rank(b.second)
-        if ra != rb:
-            return -1 if ra < rb else 1
-        if ra == 1:
-            return self.second._compare(a.second, b.second)
-        return 0
+    def _key_into(self, e, add):
+        # Fiber order: bottom marker < any chain value < top marker.
+        self.first._key_into(e.first, add)
+        s = e.second
+        if s is _BOT:
+            add(0)
+        elif s is _TOP:
+            add(2)
+        else:
+            add(1)
+            self.second._key_into(s, add)
 
     # -- operations -------------------------------------------------------------
 
@@ -566,21 +580,14 @@ class BoundedAlgebra(Algebra):
     def unit(self):
         return self.inner.unit()
 
-    @staticmethod
-    def _rank(e) -> int:
+    def _key_into(self, e, add):
         if e is BOT_BOUND:
-            return 0
-        if e is TOP_BOUND:
-            return 2
-        return 1
-
-    def _compare(self, a, b):
-        ra, rb = self._rank(a), self._rank(b)
-        if ra != rb:
-            return -1 if ra < rb else 1
-        if ra == 1:
-            return self.inner._compare(a, b)
-        return 0
+            add(0)
+        elif e is TOP_BOUND:
+            add(2)
+        else:
+            add(1)
+            self.inner._key_into(e, add)
 
     def _mult(self, a, b):
         if a is BOT_BOUND or b is BOT_BOUND:

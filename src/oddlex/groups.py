@@ -5,8 +5,9 @@ additively), the rationals ``Q``, and the one-element group.  Viewed as odd
 residuated chains they carry ``x * y = x + y``, ``neg x = -x`` and
 ``t = f = 0``; the richer operations live on the algebra layer.  This module
 provides the group arithmetic, the order, covers and coordinatewise subgroup
-descriptors, and is the one place that tells the three chains apart: each owns
-its coordinates, canonical form, window, seeded sample and strict witnesses.
+descriptors.  Each chain owns its coordinates, canonical form, window, seeded
+sample and strict witnesses; only ``literals._coerce`` and
+``serialize._algebra_doc`` still tell the three chains apart themselves.
 
 The public ``compare``, ``add``, ``invert``, ``succ`` and ``pred`` check that
 their arguments are canonical values of the chain.  The ``_``-prefixed
@@ -382,9 +383,6 @@ class SubgroupDescriptor:
             elif mine % theirs != 0:
                 return False
         return True
-
-    def is_full(self) -> bool:
-        return all(e is None for e in self.entries)
 
     def __str__(self) -> str:
         return "[" + ",".join(self.to_strings()) + "]"

@@ -13,12 +13,12 @@ nothing.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
@@ -305,11 +305,10 @@ class Countermodel:
             if not holds(A, value):
                 raise ShapeError("theory value fell below the unit")
         if self.rendering is not None:
-            items = list(self.rendering.items())
-            for i, (e1, r1) in enumerate(items):
-                for e2, r2 in items[i + 1:]:
-                    if (A._compare(e1, e2) < 0) != (r1 < r2):
-                        raise ShapeError("rendering is not order-preserving")
+            # Keys are distinct, so this says e1 < e2 iff r1 < r2 for every pair.
+            values = [self.rendering[e] for e in sorted(self.rendering, key=A._key)]
+            if any(r1 >= r2 for r1, r2 in zip(values, values[1:])):
+                raise ShapeError("rendering is not order-preserving")
 
     def to_json(self) -> dict:
         from .serialize import algebra_to_json
@@ -399,7 +398,7 @@ def rendered(cm: Countermodel) -> Countermodel:
         _eval(A, phi, cm.assignment, trace=elems)
     if isinstance(A, BoundedAlgebra):
         elems.update((TOP_BOUND, BOT_BOUND))
-    ordered = sorted(elems, key=cmp_to_key(A._compare))
+    ordered = sorted(elems, key=A._key)
     return replace(cm, rendering=unit_interval_render(A, ordered))
 
 
@@ -412,7 +411,7 @@ def unit_interval_render(algebra: Algebra,
     below and above everything).  Deterministic in the insertion order.
     """
     values: dict[Elem, Fraction] = {}
-    placed: list[Elem] = []  # kept sorted by the algebra order
+    placed: list[tuple] = []  # (order key, value), sorted; keys are distinct
     for e in elems:
         algebra.ensure_member(e)
         if e in values:
@@ -423,14 +422,10 @@ def unit_interval_render(algebra: Algebra,
         if e is BOT_BOUND:
             values[e] = Fraction(0)
             continue
-        lo, hi = Fraction(0), Fraction(1)
-        pos = 0
-        for pos, other in enumerate(placed + [None]):
-            if other is None or algebra._compare(e, other) < 0:
-                break
-            lo = values[other]
-        if pos < len(placed):
-            hi = values[placed[pos]]
+        key = algebra._key(e)
+        pos = bisect.bisect(placed, (key,))
+        lo = placed[pos - 1][1] if pos else Fraction(0)
+        hi = placed[pos][1] if pos < len(placed) else Fraction(1)
         values[e] = (lo + hi) / 2
-        placed.insert(pos, e)
+        placed.insert(pos, (key, values[e]))
     return values

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional, Sequence
 
 from .chains import (
@@ -511,8 +510,7 @@ def closure_elements(algebra: Algebra,
     algebra.ensure_member(*generators)
     if depth < 0:
         raise ShapeError("depth must be >= 0")
-    key = cmp_to_key(algebra._compare)
-    current = sorted(set(generators), key=key)
+    current = sorted(set(generators), key=algebra._key)
     seen = set(current)
     for _ in range(depth):
         fresh = []
@@ -536,7 +534,7 @@ def closure_elements(algebra: Algebra,
                 f"{len(taus)} distinct tau values seen so far", len(taus))
         if not fresh:
             break
-        current = sorted(seen, key=key)
+        current = sorted(seen, key=algebra._key)
     return current
 
 

@@ -4,6 +4,7 @@ from oddlex import (
     BOT_BOUND,
     INT_IN_Q,
     TOP_BOUND,
+    Leaf,
     Marker,
     MembershipError,
     Pair,
@@ -81,6 +82,14 @@ def test_mult_requires_membership():
         Z2.mult(top(zelem(1)), zelem(1))
     with pytest.raises(MembershipError):
         QZQ.neg(Pair(qelem(1, 2), qelem(3)))  # non-integer first with a value fiber
+
+
+def test_membership_messages():
+    with pytest.raises(MembershipError, match=r"^1 is not an element of PLPII\(Z, Z\)$"):
+        Z2.mult(top(zelem(1)), zelem(1))
+    # A leaf holding no group value cannot be printed in the literal grammar.
+    with pytest.raises(MembershipError, match=r"^Leaf\(value=1\) is not an element of Q$"):
+        q_chain().compare(q_chain().unit(), Leaf(1))
 
 
 # -- negation ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,15 @@ def test_rendered_countermodel_orders_all_values():
     doc = cm.to_json()
     assert doc["assignment"] == {"p": "1"}
     assert doc["goal_value"] == "-1"
+
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, -2), (-2, -1)],
+                         ids=["bottom-bound", "inner", "top-bound"])
+def test_validate_rejects_a_tampered_rendering(i, j):
+    cm = rendered(check_consequence(BZ, [], parse_formula("(p*p)->p"), budget=5000, seed=0))
+    by_value = sorted(cm.rendering, key=cm.rendering.get)
+    a, b = by_value[i], by_value[j]
+    swapped = {**cm.rendering, a: cm.rendering[b], b: cm.rendering[a]}
+    with pytest.raises(ShapeError, match="rendering is not order-preserving"):
+        replace(cm, rendering=swapped).validate()
