@@ -5,7 +5,8 @@ residual negation, residuum and the derived structure (group part, covers,
 unit-preserving tau map).  Three shapes exist:
 
 * :class:`BaseAlgebra` -- a linearly ordered abelian group viewed as an odd
-  chain (``* = +``, ``neg = -``, ``t = f = 0``);
+  chain (``* = +``, ``neg = -``, ``t = f = 0``); its elements are the group's
+  canonical values themselves;
 * :class:`PlpAlgebra` -- a type I/II/III/IV partial lexicographic product of a
   chain and a second chain, with top/bottom fiber markers;
 * :class:`BoundedAlgebra` -- a chain with two global bounds adjoined, the top
@@ -15,7 +16,7 @@ unit-preserving tau map).  Three shapes exist:
 All values are immutable and every operation is pure.  Validation happens
 once, where values enter: the public operations check carrier membership of
 their operands and raise :class:`MembershipError` otherwise, and carrier
-membership checks the canonical form of every group leaf.  The
+membership checks the canonical form of every group value.  The
 ``_``-prefixed variants trust their operands: they skip validation all the
 way down and use the group chains' unchecked
 ``_add``/``_invert``/``_succ``/``_pred``.  They are used for recursion into
@@ -24,10 +25,11 @@ the suites).  The residuum ``a -> b = neg(a * neg b)`` has one raw form,
 :meth:`Algebra._residuum`, with ``_tau(a) = a -> a``.
 
 The order is one flat key per element, :meth:`Algebra._key`, compared natively
-by :meth:`Algebra._compare` and by every sort: a leaf has ``(value,)``;
-``(x, B)``, ``(x, y)``, ``(x, T)`` have ``key(x)`` followed by ``0``,
-``1, *key(y)``, ``2``; the bounds give ``(0,)``, ``(1, *key)``, ``(2,)``.  No
-key is a proper prefix of another, so equal keys mean equal elements.
+by :meth:`Algebra._compare` and by every sort: a base-chain element ``v`` has
+``(v,)``; ``(x, B)``, ``(x, y)``, ``(x, T)`` have ``key(x)`` followed by
+``0``, ``1, *key(y)``, ``2``; the bounds give ``(0,)``, ``(1, *key)``,
+``(2,)``.  No key is a proper prefix of another, so equal keys mean equal
+elements.
 
 Each class owns its order witnesses: next to the covers ``_cover_up`` and
 ``_cover_down``, ``_below(e)``/``_above(e)`` give an element strictly below or
@@ -48,11 +50,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .elements import BOT_BOUND, TOP_BOUND, Bound, Elem, Leaf, Marker, Pair, Second
+from .elements import (BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Elem, Marker,
+                       Pair, Second, format_elem)
 from .errors import MembershipError, PreconditionViolation, UndefinedCover
-from .groups import GroupChain, QChain, SubgroupDescriptor, Trivial, ZLex
-
-_BOT, _TOP = Marker.BOT, Marker.TOP  # plain names: ``Marker.BOT`` is a slow enum lookup
+from .groups import GroupChain, GroupValue, QChain, SubgroupDescriptor, Trivial, ZLex
 
 
 class PlpKind(enum.Enum):
@@ -72,8 +73,8 @@ class Algebra:
         for e in elems:
             if not self.contains(e):
                 try:
-                    shown = str(e)
-                except TypeError:  # a leaf holding something that is no group value
+                    shown = format_elem(e)
+                except TypeError:  # something that is no element at all
                     shown = repr(e)
                 raise MembershipError(f"{shown} is not an element of {self}")
 
@@ -146,7 +147,7 @@ class Algebra:
             raise UndefinedCover(
                 f"group part of {self} is not discretely embedded; covers are undefined")
         if self._group_coords(a) is None:
-            raise UndefinedCover(f"{a} lies outside the group part of {self}")
+            raise UndefinedCover(f"{format_elem(a)} lies outside the group part of {self}")
 
     # -- structural recursion ------------------------------------------------
 
@@ -249,40 +250,40 @@ class BaseAlgebra(Algebra):
     chain: GroupChain
 
     def contains(self, e: Elem) -> bool:
-        return isinstance(e, Leaf) and self.chain.is_canonical(e.value)
+        return self.chain.is_canonical(e)
 
     def unit(self) -> Elem:
-        return Leaf(self.chain.unit())
+        return self.chain.unit()
 
     def _key_into(self, e, add):
-        add(e.value)
+        add(e)
 
     def _mult(self, a, b):
-        return Leaf(self.chain._add(a.value, b.value))
+        return self.chain._add(a, b)
 
     def _neg_coords(self, a, want):
-        return Leaf(self.chain._invert(a.value)), self.chain.coords(a.value) if want else None
+        return self.chain._invert(a), self.chain.coords(a) if want else None
 
     def _cover_up(self, a):
-        return Leaf(self.chain._succ(a.value))
+        return self.chain._succ(a)
 
     def _cover_down(self, a):
-        return Leaf(self.chain._pred(a.value))
+        return self.chain._pred(a)
 
     def _below(self, e):
-        return _leaf(self.chain.below(e.value))
+        return self.chain.below(e)
 
     def _above(self, e):
-        return _leaf(self.chain.above(e.value))
+        return self.chain.above(e)
 
     def _between(self, x, y):
-        return _leaf(self.chain.between(x.value, y.value))
+        return self.chain.between(x, y)
 
     def _group_coords(self, e):
-        return self.chain.coords(e.value) if self.contains(e) else None
+        return self.chain.coords(e) if self.contains(e) else None
 
     def _unflatten(self, coords):
-        return Leaf(self.chain.from_coords(coords))
+        return self.chain.from_coords(coords)
 
     @cached_property
     def ambient_kinds(self):
@@ -315,10 +316,6 @@ class BaseAlgebra(Algebra):
 
     def __str__(self):
         return str(self.chain)
-
-
-def _leaf(value) -> Optional[Leaf]:
-    return None if value is None else Leaf(value)
 
 
 @dataclass(frozen=True)
@@ -364,9 +361,9 @@ class PlpAlgebra(Algebra):
         if not isinstance(e, Pair):
             return False
         x, s = e.first, e.second
-        if s is Marker.BOT or (s is Marker.TOP and self.kind is PlpKind.IV):
-            return (s is Marker.TOP or self.has_bot_marker) and self.first.contains(x)
-        if s is Marker.TOP:
+        if s is BOT_MARKER or (s is TOP_MARKER and self.kind is PlpKind.IV):
+            return (s is TOP_MARKER or self.has_bot_marker) and self.first.contains(x)
+        if s is TOP_MARKER:
             return self._in_subgroup(self.zdesc, x)
         return self._in_subgroup(self.vdesc, x) and self.second.contains(s)
 
@@ -383,9 +380,9 @@ class PlpAlgebra(Algebra):
         # Fiber order: bottom marker < any chain value < top marker.
         self.first._key_into(e.first, add)
         s = e.second
-        if s is _BOT:
+        if s is BOT_MARKER:
             add(0)
-        elif s is _TOP:
+        elif s is TOP_MARKER:
             add(2)
         else:
             add(1)
@@ -395,10 +392,10 @@ class PlpAlgebra(Algebra):
 
     def _mult_second(self, s1: Second, s2: Second) -> Second:
         # The bottom marker was adjoined after the top, so it wins.
-        if s1 is Marker.BOT or s2 is Marker.BOT:
-            return Marker.BOT
-        if s1 is Marker.TOP or s2 is Marker.TOP:
-            return Marker.TOP
+        if s1 is BOT_MARKER or s2 is BOT_MARKER:
+            return BOT_MARKER
+        if s1 is TOP_MARKER or s2 is TOP_MARKER:
+            return TOP_MARKER
         return self.second._mult(s1, s2)
 
     def _mult(self, a, b):
@@ -412,12 +409,12 @@ class PlpAlgebra(Algebra):
         if self.kind is PlpKind.III:
             nx, cx = self.first._neg_coords(x, True)
             if cx is None or not self.zdesc.contains_coords(cx):
-                return Pair(nx, Marker.BOT), None
+                return Pair(nx, BOT_MARKER), None
             if isinstance(s, Marker):
-                return Pair(nx, Marker.TOP if s is Marker.BOT else Marker.BOT), None
-        elif s is Marker.TOP:  # type IV: carrier is (X x {T}) | (V x Y)
+                return Pair(nx, TOP_MARKER if s is BOT_MARKER else BOT_MARKER), None
+        elif s is TOP_MARKER:  # type IV: carrier is (X x {T}) | (V x Y)
             nx, cx = self.first._neg_coords(x, True)
-            return Pair(nx if cx is None else self.first._cover_down(nx), Marker.TOP), None
+            return Pair(nx if cx is None else self.first._cover_down(nx), TOP_MARKER), None
         else:
             nx, cx = self.first._neg_coords(x, want)
         ns, cs = self.second._neg_coords(s, want)
@@ -431,7 +428,7 @@ class PlpAlgebra(Algebra):
 
     def _on_free_marker(self, x: Optional[Elem]) -> Optional[Elem]:
         """``x`` paired with the marker every first component takes (B for III, T for IV)."""
-        return None if x is None else Pair(x, Marker.BOT if self.has_bot_marker else Marker.TOP)
+        return None if x is None else Pair(x, BOT_MARKER if self.has_bot_marker else TOP_MARKER)
 
     def _below(self, e):
         return self._on_free_marker(self.first._below(e.first))
@@ -449,25 +446,25 @@ class PlpAlgebra(Algebra):
                 return self._on_free_marker(mid)
             # b covers a in the first component: squeeze into the boundary fibers
             if self.has_bot_marker:
-                if s is not Marker.TOP and self._in_subgroup(self.zdesc, a):
-                    return Pair(a, Marker.TOP)
-                if u is not Marker.BOT:
-                    return Pair(b, Marker.BOT)
+                if s is not TOP_MARKER and self._in_subgroup(self.zdesc, a):
+                    return Pair(a, TOP_MARKER)
+                if u is not BOT_MARKER:
+                    return Pair(b, BOT_MARKER)
                 return None
-            if s is not Marker.TOP:
-                return Pair(a, Marker.TOP)
-            if u is Marker.TOP:
+            if s is not TOP_MARKER:
+                return Pair(a, TOP_MARKER)
+            if u is TOP_MARKER:
                 w = second.unit() if self._in_subgroup(self.vdesc, b) else None
             else:
                 w = second._below(u)
             return None if w is None else Pair(b, w)
 
         # equal first components; compare second components within the fiber
-        if s is Marker.BOT:
+        if s is BOT_MARKER:
             if not self._in_subgroup(self.vdesc, a):
                 return None  # marker-only fiber
-            w = second.unit() if u is Marker.TOP else second._below(u)
-        elif u is Marker.TOP:
+            w = second.unit() if u is TOP_MARKER else second._below(u)
+        elif u is TOP_MARKER:
             w = second._above(s)
         else:
             w = second._between(s, u)
@@ -680,9 +677,9 @@ def trivial_chain() -> BaseAlgebra:
     return BaseAlgebra(Trivial())
 
 
-def zelem(*coords: int) -> Leaf:
-    return Leaf(tuple(coords))
+def zelem(*coords: int) -> GroupValue:
+    return tuple(coords)
 
 
-def qelem(num, den: int = 1) -> Leaf:
-    return Leaf(Fraction(num, den))
+def qelem(num, den: int = 1) -> GroupValue:
+    return Fraction(num, den)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
@@ -105,12 +106,7 @@ def cmd_verify(args) -> int:
                     "suite": r.suite,
                     "subject": r.subject,
                     "ok": r.ok,
-                    "checks": [
-                        {"name": c.name, "samples": c.samples,
-                         "failures": c.failures, "witnesses": c.witnesses,
-                         "info": c.info}
-                        for c in r.checks
-                    ],
+                    "checks": [dataclasses.asdict(c) for c in r.checks],
                 }
                 for r in reports
             ],

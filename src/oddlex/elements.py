@@ -1,9 +1,10 @@
 """Element trees for iterated partial lexicographic products.
 
-An element is a group leaf, a pair whose second component is either another
-element or one of the fiber markers ``T``/``B`` (the top/bottom adjoined to
-the second factor of a product), or one of the two global bounds of a
-bound-adjoined algebra.
+An element is a canonical group value of a base chain (an int tuple for
+``Z^k``, a ``Fraction`` for ``Q``, ``()`` for the trivial group), a pair whose
+second component is either another element or one of the fiber markers
+``T``/``B`` (the top/bottom adjoined to the second factor of a product), or
+one of the two global bounds of a bound-adjoined algebra.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ class Bound(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Leaf:
-    value: GroupValue
-
-    def __str__(self) -> str:
-        return format_elem(self)
-
-
-@dataclass(frozen=True)
 class Pair:
     first: "Elem"
     second: Union["Elem", Marker]
@@ -47,11 +40,13 @@ class Pair:
         return format_elem(self)
 
 
-Elem = Union[Leaf, Pair, Bound]
+Elem = Union[GroupValue, Pair, Bound]
 Second = Union[Elem, Marker]
 
 TOP_BOUND = Bound.TOP
 BOT_BOUND = Bound.BOT
+TOP_MARKER = Marker.TOP  # plain names: ``Marker.TOP`` is a slow enum lookup on hot paths
+BOT_MARKER = Marker.BOT
 
 
 def format_group_value(v: GroupValue) -> str:
@@ -70,8 +65,6 @@ def format_elem(e: Second) -> str:
         return e.value
     if isinstance(e, Marker):
         return e.value
-    if isinstance(e, Leaf):
-        return format_group_value(e.value)
     if isinstance(e, Pair):
         return f"({format_elem(e.first)}, {format_elem(e.second)})"
-    raise TypeError(f"not an element: {e!r}")
+    return format_group_value(e)

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .chains import Algebra, BaseAlgebra, BoundedAlgebra, PlpAlgebra
-from .elements import BOT_BOUND, TOP_BOUND, Elem, Leaf, Marker, Pair
+from .elements import BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Elem, Pair
 from .errors import LiteralSyntaxError, MembershipError
 from .groups import QChain, Trivial, ZLex
 
@@ -100,17 +100,17 @@ def _coerce(algebra: Algebra, raw: _Raw) -> Elem:
         chain = algebra.chain
         if isinstance(chain, ZLex):
             if raw.tag == "int" and chain.rank == 1:
-                return Leaf((raw.payload,))
+                return (raw.payload,)
             if raw.tag == "vec" and len(raw.payload) == chain.rank:
-                return Leaf(raw.payload)
+                return raw.payload
         elif isinstance(chain, QChain):
             if raw.tag == "int":
-                return Leaf(Fraction(raw.payload))
+                return Fraction(raw.payload)
             if raw.tag == "frac":
-                return Leaf(raw.payload)
+                return raw.payload
         elif isinstance(chain, Trivial):
             if raw.tag == "vec" and raw.payload == ():
-                return Leaf(())
+                return ()
         raise MembershipError(f"literal does not denote an element of {algebra}")
     if isinstance(algebra, PlpAlgebra):
         if raw.tag != "pair":
@@ -118,9 +118,9 @@ def _coerce(algebra: Algebra, raw: _Raw) -> Elem:
         rfirst, rsecond = raw.payload
         first = _coerce(algebra.first, rfirst)
         if rsecond.tag == "T":
-            second = Marker.TOP
+            second = TOP_MARKER
         elif rsecond.tag == "B":
-            second = Marker.BOT
+            second = BOT_MARKER
         else:
             second = _coerce(algebra.second, rsecond)
         return Pair(first, second)

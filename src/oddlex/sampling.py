@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from operator import itemgetter
 from .chains import Algebra, BaseAlgebra, BoundedAlgebra
-from .elements import BOT_BOUND, TOP_BOUND, Elem, Leaf, Marker, Pair, format_group_value
+from .elements import BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Elem, Pair, format_group_value
 from .errors import ShapeError
 from .groups import SubgroupDescriptor
 
@@ -59,19 +59,19 @@ def _window_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list:
     return rows
 
 
-def _leaf_row(chain, value) -> tuple:
+def _value_row(chain, value) -> tuple:
     size = abs(value) if isinstance(value, Fraction) else sum(abs(c) for c in value)
     twelfths = Fraction(size) * 12
     if twelfths.denominator != 1:
         raise ShapeError(f"window value {value} has a denominator outside 1..3")
-    return (twelfths.numerator, format_group_value(value)), Leaf(value), None, chain.coords(value)
+    return (twelfths.numerator, format_group_value(value)), value, None, chain.coords(value)
 
 
 def _candidate_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list:
     """Unsorted candidates ``(key, x, s, group_coords)`` that ``_window_rows``
     sorts and caps; the element is ``x`` when ``s`` is None, else ``Pair(x, s)``."""
     if isinstance(algebra, BaseAlgebra):
-        return [_leaf_row(algebra.chain, v) for v in algebra.chain.window(radius, cap)]
+        return [_value_row(algebra.chain, v) for v in algebra.chain.window(radius, cap)]
     if isinstance(algebra, BoundedAlgebra):
         return [((_MARKER_SIZE, BOT_BOUND.value), BOT_BOUND, None, None),
                 ((_MARKER_SIZE, TOP_BOUND.value), TOP_BOUND, None, None)] \
@@ -81,11 +81,11 @@ def _candidate_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list
     for (size, lit), x, cx in _window_rows(algebra.first, radius, cap, memo):
         marked = size + _MARKER_SIZE
         if algebra.has_bot_marker:
-            out.append(((marked, f"({lit}, B)"), x, Marker.BOT, None))
+            out.append(((marked, f"({lit}, B)"), x, BOT_MARKER, None))
             if cx is not None and algebra.zdesc.contains_coords(cx):
-                out.append(((marked, f"({lit}, T)"), x, Marker.TOP, None))
+                out.append(((marked, f"({lit}, T)"), x, TOP_MARKER, None))
         else:
-            out.append(((marked, f"({lit}, T)"), x, Marker.TOP, None))
+            out.append(((marked, f"({lit}, T)"), x, TOP_MARKER, None))
         if cx is not None and algebra.vdesc.contains_coords(cx):
             out.extend(((size + ysize, f"({lit}, {ylit})"), x, y,
                         None if cy is None else cx + cy)
@@ -112,14 +112,15 @@ def sample_group_elem(algebra: Algebra,
             coords.append(Fraction(0) if kind == "Q" else 0)
         else:
             k = rng.randint(-magnitude, magnitude)
-            coords.append(entry * k if kind == "Q" else int(entry * k))
+            # on a Z coordinate, (p/q)Z meets Z in pZ
+            coords.append(entry * k if kind == "Q" else entry.numerator * k)
     return algebra._unflatten(tuple(coords))
 
 
 def sample_elem(algebra: Algebra, rng: random.Random, magnitude: int = 8) -> Elem:
     """A random carrier member; every carrier clause has positive probability."""
     if isinstance(algebra, BaseAlgebra):
-        return Leaf(algebra.chain.sample(rng, magnitude))
+        return algebra.chain.sample(rng, magnitude)
     if isinstance(algebra, BoundedAlgebra):
         roll = rng.random()
         if roll < 0.05:
@@ -135,12 +136,12 @@ def sample_elem(algebra: Algebra, rng: random.Random, magnitude: int = 8) -> Ele
                         sample_elem(algebra.second, rng, magnitude))
         if roll < 0.65:
             return Pair(sample_group_elem(algebra.first, algebra.zdesc, rng, magnitude),
-                        Marker.TOP if rng.random() < 0.5 else Marker.BOT)
-        return Pair(sample_elem(algebra.first, rng, magnitude), Marker.BOT)
+                        TOP_MARKER if rng.random() < 0.5 else BOT_MARKER)
+        return Pair(sample_elem(algebra.first, rng, magnitude), BOT_MARKER)
     if roll < 0.5:
         return Pair(sample_group_elem(algebra.first, algebra.vdesc, rng, magnitude),
                     sample_elem(algebra.second, rng, magnitude))
-    return Pair(sample_elem(algebra.first, rng, magnitude), Marker.TOP)
+    return Pair(sample_elem(algebra.first, rng, magnitude), TOP_MARKER)
 
 
 def sample_distinct_pair(algebra: Algebra, rng: random.Random,

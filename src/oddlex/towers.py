@@ -34,14 +34,14 @@ from .chains import (
     trivial_chain,
     z_chain,
 )
-from .elements import Elem, Leaf, Marker, Pair
+from .elements import Elem, Marker, Pair, format_elem
 from .errors import (
     ClosureBudgetExceeded,
     NotDense,
     PreconditionViolation,
     ShapeError,
 )
-from .groups import SubgroupDescriptor
+from .groups import GroupValue, SubgroupDescriptor
 
 #: Z sitting inside Q, as a coordinatewise descriptor.
 INT_IN_Q = SubgroupDescriptor((Fraction(1),))
@@ -300,10 +300,11 @@ class StandardTarget:
     def top(self) -> Algebra:
         return self.stages[-1]
 
-    def _embed_group_value(self, target: Algebra, source_stage: BaseAlgebra, leaf: Leaf) -> Elem:
+    def _embed_group_value(self, target: Algebra, source_stage: BaseAlgebra,
+                           value: GroupValue) -> Elem:
         if not source_stage.ambient_kinds:  # rank 0: the trivial group
             return target.unit()
-        return target._unflatten(source_stage._group_coords(leaf))
+        return target._unflatten(source_stage._group_coords(value))
 
     def _embed(self, i: int, e: Elem) -> Elem:
         if i == 1:
@@ -351,10 +352,8 @@ def build_standard_target(spec: RepresentationSpec) -> StandardTarget:
             return make_qj(k)
         return make_zj(k) if next_is_iv else make_qj(k)
 
-    if n == 1 or spec.iota[0] == "III":
-        stages: list[Algebra] = [make_qj(max(spec.ranks[0], 1))]
-    else:
-        stages = [make_zj(max(spec.ranks[0], 1))]
+    # the first stage has no kind of its own and follows the type III rule
+    stages: list[Algebra] = [tower_for(1, "III")]
 
     for i in range(2, n + 1):
         prev = stages[-1]
@@ -429,10 +428,10 @@ def fuse_type2_iso(a: Algebra, b: Algebra, c: Algebra) -> Type2Fusion:
 def zj_tuple(j: int, e: Elem) -> list:
     """Tuple view of an integer-tower element: integers with a TOP suffix."""
     if j == 1:
-        return [e.value[0]]
+        return [e[0]]
     if e.second is Marker.TOP:
-        return [e.first.value[0]] + [Marker.TOP] * (j - 1)
-    return [e.first.value[0]] + zj_tuple(j - 1, e.second)
+        return [e.first[0]] + [Marker.TOP] * (j - 1)
+    return [e.first[0]] + zj_tuple(j - 1, e.second)
 
 
 def zj_from_tuple(j: int, items: Sequence) -> Elem:
@@ -440,9 +439,9 @@ def zj_from_tuple(j: int, items: Sequence) -> Elem:
         raise ShapeError(f"expected {j} entries, got {len(items)}")
     if not isinstance(items[0], int):
         raise ShapeError("the leading tuple entry must be an integer")
+    head = (items[0],)
     if j == 1:
-        return Leaf((items[0],))
-    head = Leaf((items[0],))
+        return head
     rest = items[1:]
     if all(x is Marker.TOP for x in rest):
         return Pair(head, Marker.TOP)
@@ -494,7 +493,7 @@ def between(algebra: Algebra, x: Elem, y: Elem) -> Elem:
         raise NotDense(obstruction)
     witness = algebra._between(x, y)
     if witness is None:  # unreachable on a structurally dense order
-        raise NotDense(f"no element between {x} and {y}")
+        raise NotDense(f"no element between {format_elem(x)} and {format_elem(y)}")
     return witness
 
 

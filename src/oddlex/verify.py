@@ -163,11 +163,7 @@ def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Proper
     for _ in range(max(samples // 10, 1)):
         value, used = random_term(algebra, rng, pool, depth=4)
         tv = algebra._tau(value)
-        taus = [algebra._tau(u) for u in used]
-        biggest = taus[0]
-        for t in taus[1:]:
-            if algebra._compare(biggest, t) < 0:
-                biggest = t
+        biggest = max((algebra._tau(u) for u in used), key=algebra._key)
         terms.tally(tv == biggest, "{}", value)
     return [idem.check, count, terms.check]
 

@@ -1,16 +1,20 @@
+from fractions import Fraction
+
 import pytest
 
 from oddlex import (
     BOT_BOUND,
     INT_IN_Q,
     TOP_BOUND,
-    Leaf,
+    BaseAlgebra,
     Marker,
     MembershipError,
+    NotDense,
     Pair,
     PreconditionViolation,
     UndefinedCover,
     adjoin_bounds,
+    between,
     build_plp,
     make_zj,
     q_chain,
@@ -87,9 +91,22 @@ def test_mult_requires_membership():
 def test_membership_messages():
     with pytest.raises(MembershipError, match=r"^1 is not an element of PLPII\(Z, Z\)$"):
         Z2.mult(top(zelem(1)), zelem(1))
-    # A leaf holding no group value cannot be printed in the literal grammar.
-    with pytest.raises(MembershipError, match=r"^Leaf\(value=1\) is not an element of Q$"):
-        q_chain().compare(q_chain().unit(), Leaf(1))
+    # An int is no group value, so it cannot be printed in the literal grammar.
+    with pytest.raises(MembershipError, match=r"^1 is not an element of Q$"):
+        q_chain().compare(q_chain().unit(), 1)
+
+
+def test_messages_print_elements_as_literals(monkeypatch):
+    with pytest.raises(MembershipError, match=r"^<1,2> is not an element of Z$"):
+        Z.compare(zelem(0), zelem(1, 2))
+    with pytest.raises(MembershipError, match=r"^1/2 is not an element of Z$"):
+        Z.neg(Fraction(1, 2))
+    with pytest.raises(UndefinedCover, match=r"^TOP lies outside the group part of Bounded\(Z\)$"):
+        BZ.cover_up(TOP_BOUND)
+    # The between witness never fails on a dense order; force the failure to see its text.
+    monkeypatch.setattr(BaseAlgebra, "_between", lambda self, x, y: None)
+    with pytest.raises(NotDense, match=r"^no element between -1/2 and 1/2$"):
+        between(Q, qelem(-1, 2), qelem(1, 2))
 
 
 # -- negation ----------------------------------------------------------------

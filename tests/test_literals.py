@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from oddlex import (
@@ -20,6 +22,15 @@ from oddlex import (
 )
 from oddlex.groups import SubgroupDescriptor
 from oddlex.sampling import window_elements
+
+
+def test_base_chain_elements_are_group_values():
+    assert parse_elem(z_chain(), "3") == (3,)
+    assert parse_elem(q_chain(), "1/2") == Fraction(1, 2)
+    assert parse_elem(trivial_chain(), "<>") == ()
+    assert zelem(1, -2) == (1, -2)
+    assert qelem(1, 2) == Fraction(1, 2)
+    assert isinstance(qelem(3), Fraction)
 
 
 def test_parse_examples():

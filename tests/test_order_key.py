@@ -90,7 +90,7 @@ def reference_compare(algebra, a, b):
         if ra != rb or ra != 1:
             return _sign(ra, rb)
         return reference_compare(algebra.second, a.second, b.second)
-    return _sign(a.value, b.value)
+    return _sign(a, b)
 
 
 def _pool(name, algebra, n_samples=30):

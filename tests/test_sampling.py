@@ -9,16 +9,17 @@ re-walks every element, truncate.  The keyed, shell-by-shell window in
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from oddlex.chains import BaseAlgebra, BoundedAlgebra, adjoin_bounds, q_chain, trivial_chain, z_chain
 from oddlex.cli import main
-from oddlex.elements import BOT_BOUND, TOP_BOUND, Bound, Leaf, Marker, Pair, format_elem
+from oddlex.elements import BOT_BOUND, TOP_BOUND, Bound, Marker, Pair, format_elem
 from oddlex.errors import ShapeError
 from oddlex.groups import QChain, ZLex
-from oddlex.sampling import _window_rows, window_elements
+from oddlex.sampling import _window_rows, sample_elem, sample_group_elem, window_elements
 from oddlex.towers import (
     MODE_I_II,
     MODE_III_IV,
@@ -33,9 +34,8 @@ from oddlex.towers import (
 def _ref_size(e) -> Fraction:
     if isinstance(e, (Bound, Marker)):
         return Fraction(1, 4)
-    if isinstance(e, Leaf):
-        v = e.value
-        return abs(v) if isinstance(v, Fraction) else Fraction(sum(abs(c) for c in v))
+    if isinstance(e, (Fraction, tuple)):
+        return abs(e) if isinstance(e, Fraction) else Fraction(sum(abs(c) for c in e))
     return _ref_size(e.first) + _ref_size(e.second)
 
 
@@ -50,7 +50,7 @@ def _ref_box(chain, radius):
 
 def _ref_all(A, radius, cap):
     if isinstance(A, BaseAlgebra):
-        return [Leaf(v) for v in _ref_box(A.chain, radius)]
+        return _ref_box(A.chain, radius)
     if isinstance(A, BoundedAlgebra):
         return [BOT_BOUND, TOP_BOUND] + _ref_all(A.inner, radius, cap)
     second_window = reference_window(A.second, radius, cap)
@@ -177,3 +177,27 @@ def test_countermodel_on_a_rank_10_stage_stays_within_its_budget(tmp_path, capsy
     spec.write_text(json.dumps({"ranks": [10], "iota": []}))
     assert main(["countermodel", str(spec), "p -> (p * p)", "--budget", "10"]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["result"] in ("found", "not-found")
+
+
+# (3/2)Z meets Z in 3Z, so a Z coordinate under the entry 3/2 takes multiples of 3.
+NON_INTEGER_ENTRY_SPEC = {"ranks": [1, 1], "iota": ["III"],
+                          "zdescs": [["3/2"]], "vdescs": [["3/2"]]}
+
+
+@pytest.mark.parametrize("mode", [MODE_I_II, MODE_III_IV])
+def test_samplers_draw_members_under_non_integer_entries(mode):
+    spec = RepresentationSpec.from_json(NON_INTEGER_ENTRY_SPEC)
+    A = build_representation(spec, mode).top
+    r = random.Random("sampling:non-integer-entry")
+    for _ in range(200):
+        assert A.contains(sample_elem(A, r))
+        x = sample_group_elem(A.first, A.zdesc, r)
+        assert A.zdesc.contains_coords(A.first._group_coords(x))
+
+
+@pytest.mark.parametrize("standard", [[], ["--standard"]])
+def test_verify_runs_under_non_integer_entries(tmp_path, capsys, standard):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(NON_INTEGER_ENTRY_SPEC))
+    assert main(["verify", str(spec), "--samples", "200"] + standard) in (0, 1)
+    assert "error:" not in capsys.readouterr().err

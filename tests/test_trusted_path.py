@@ -12,7 +12,7 @@ import pytest
 
 from oddlex.chains import (BaseAlgebra, BoundedAlgebra, PlpAlgebra, adjoin_bounds,
                            q_chain, z_chain)
-from oddlex.elements import Leaf, Marker, Pair
+from oddlex.elements import Marker, Pair
 from oddlex.errors import LiteralSyntaxError, MembershipError, ShapeError
 from oddlex.groups import QChain, Trivial, ZLex
 from oddlex.literals import parse_elem
@@ -95,10 +95,10 @@ def test_countermodel_json_rejects_a_malformed_coordinate(literal):
 
 @pytest.mark.parametrize("op", ["compare", "mult", "residuum"])
 @pytest.mark.parametrize("A, bad", [
-    (z_chain(2), Leaf((1,))),
-    (z_chain(1), Leaf((Fraction(1, 2),))),
-    (q_chain(), Leaf((1,))),
-    (adjoin_bounds(z_chain(1)), Pair(Leaf((0,)), Marker.TOP)),
+    (z_chain(2), (1,)),
+    (z_chain(1), (Fraction(1, 2),)),
+    (q_chain(), (1,)),
+    (adjoin_bounds(z_chain(1)), Pair((0,), Marker.TOP)),
 ], ids=["short-vector", "rational-coordinate", "vector-for-Q", "pair-in-Z"])
 def test_public_ops_reject_non_members(A, bad, op):
     unit = A.unit()

@@ -1,6 +1,6 @@
 from oddlex import verify
 from oddlex.chains import z_chain
-from oddlex.elements import Leaf, format_elem
+from oddlex.elements import format_elem
 from oddlex.verify import _Recorder, involution_suite, _rng
 
 
@@ -13,7 +13,7 @@ def test_witnesses_are_formatted_only_for_kept_failures(monkeypatch):
 
     monkeypatch.setattr(verify, "format_elem", counting)
     rec = _Recorder("law")
-    a, b = Leaf((1,)), Leaf((-2,))
+    a, b = (1,), (-2,)
     for _ in range(10):
         rec.tally(True, "a={} b={}", a, b)
     assert calls == []
