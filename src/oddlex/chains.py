@@ -22,7 +22,10 @@ way down and use the group chains' unchecked
 ``_add``/``_invert``/``_succ``/``_pred``.  They are used for recursion into
 components and on values validated earlier (formula evaluation, the samplers,
 the suites).  The residuum ``a -> b = neg(a * neg b)`` has one raw form,
-:meth:`Algebra._residuum`, with ``_tau(a) = a -> a``.
+:meth:`Algebra._residuum`, with ``_tau(a) = a -> a``.  Group-part elements
+are built the same trusted way, in one pass: :meth:`Algebra._build` pairs the
+builds of a product's factors, defers through the bounds, and lets each base
+chain ask its ``take`` for its coordinates in order.
 
 The order is one flat key per element, :meth:`Algebra._key`, compared natively
 by :meth:`Algebra._compare` and by every sort: a base-chain element ``v`` has
@@ -200,7 +203,9 @@ class Algebra:
         """Coordinates of ``e`` in the ambient lex group, or None outside the group part."""
         raise NotImplementedError
 
-    def _unflatten(self, coords) -> Elem:
+    def _build(self, take) -> Elem:
+        """The group-part element whose coordinates, in order, are the trusted
+        answers of ``take(chain)``, asked of the base chain owning each."""
         raise NotImplementedError
 
     # -- structural properties ------------------------------------------------
@@ -282,8 +287,8 @@ class BaseAlgebra(Algebra):
     def _group_coords(self, e):
         return self.chain.coords(e) if self.contains(e) else None
 
-    def _unflatten(self, coords):
-        return self.chain.from_coords(coords)
+    def _build(self, take):
+        return self.chain._build(take)
 
     @cached_property
     def ambient_kinds(self):
@@ -481,10 +486,8 @@ class PlpAlgebra(Algebra):
         cs = self.second._group_coords(e.second)
         return None if cs is None else cx + cs
 
-    def _unflatten(self, coords):
-        n = len(self.first.ambient_kinds)
-        return Pair(self.first._unflatten(tuple(coords[:n])),
-                    self.second._unflatten(tuple(coords[n:])))
+    def _build(self, take):
+        return Pair(self.first._build(take), self.second._build(take))
 
     @cached_property
     def ambient_kinds(self):
@@ -620,8 +623,8 @@ class BoundedAlgebra(Algebra):
     def _group_coords(self, e):
         return None if isinstance(e, Bound) else self.inner._group_coords(e)
 
-    def _unflatten(self, coords):
-        return self.inner._unflatten(coords)
+    def _build(self, take):
+        return self.inner._build(take)
 
     @property
     def ambient_kinds(self):

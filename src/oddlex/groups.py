@@ -5,14 +5,20 @@ additively), the rationals ``Q``, and the one-element group.  Viewed as odd
 residuated chains they carry ``x * y = x + y``, ``neg x = -x`` and
 ``t = f = 0``; the richer operations live on the algebra layer.  This module
 provides the group arithmetic, the order, covers and coordinatewise subgroup
-descriptors.  Each chain owns its coordinates, canonical form, window, seeded
-sample and strict witnesses; only ``literals._coerce`` and
-``serialize._algebra_doc`` still tell the three chains apart themselves.
+descriptors.  Each chain owns its coordinates, canonical form, trusted
+builder, window, seeded draw and strict witnesses.  Only ``literals._coerce``
+and ``serialize._algebra_doc`` still tell the three chains apart by class,
+and ``towers._transport`` by the ``ambient_kinds`` strings.
 
 The public ``compare``, ``add``, ``invert``, ``succ`` and ``pred`` check that
 their arguments are canonical values of the chain.  The ``_``-prefixed
 ``_add``, ``_invert``, ``_succ`` and ``_pred`` trust them: the algebra layer's
 raw element ops call these on values validated where they entered.
+
+Values are built unchecked too: ``_build(take)`` asks ``take(chain)`` for
+each coordinate in order, ``_draw`` draws one coordinate inside a descriptor
+entry (``*``, ``0`` or the multiples of ``p/q``), and ``_coord`` turns an
+integer coordinate into one of the chain's.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ class ZLex:
 
     def is_canonical(self, a: GroupValue) -> bool:
         return (isinstance(a, tuple) and len(a) == self.rank
-                and all(isinstance(c, int) for c in a))
+                and all(type(c) is int for c in a))
 
     def check(self, a: GroupValue) -> tuple:
         if not self.is_canonical(a):
@@ -55,16 +61,18 @@ class ZLex:
     def coords(self, a: tuple) -> tuple:
         return a
 
-    def from_coords(self, coords: Sequence) -> tuple:
-        if len(coords) != self.rank:
-            raise ShapeError(f"expected {self.rank} coordinates, got {len(coords)}")
-        vals = []
-        for c in coords:
-            f = Fraction(c)
-            if f.denominator != 1:
-                raise ShapeError(f"non-integer coordinate {c} for a Z position")
-            vals.append(int(f))
-        return tuple(vals)
+    _coord = int
+
+    def _build(self, take) -> tuple:
+        return tuple([take(self) for _ in range(self.rank)])
+
+    def _draw(self, rng: random.Random, entry: Entry, magnitude: int) -> int:
+        if entry is None:
+            return rng.randint(-magnitude, magnitude)
+        if not entry:
+            return 0
+        # (p/q)Z meets Z in pZ
+        return entry.numerator * rng.randint(-magnitude, magnitude)
 
     def compare(self, a: GroupValue, b: GroupValue) -> int:
         a, b = self.check(a), self.check(b)
@@ -119,9 +127,6 @@ class ZLex:
             out.extend(_l1_shell(self.rank, norm, radius))
         return out
 
-    def sample(self, rng: random.Random, magnitude: int) -> tuple:
-        return tuple(rng.randint(-magnitude, magnitude) for _ in range(self.rank))
-
     @property
     def discretely_ordered(self) -> bool:
         return True
@@ -168,10 +173,18 @@ class QChain:
     def coords(self, a: Fraction) -> tuple:
         return (a,)
 
-    def from_coords(self, coords: Sequence) -> Fraction:
-        if len(coords) != 1:
-            raise ShapeError("expected a single rational coordinate")
-        return Fraction(coords[0])
+    _coord = Fraction
+
+    def _build(self, take) -> Fraction:
+        return take(self)
+
+    def _draw(self, rng: random.Random, entry: Entry, magnitude: int) -> Fraction:
+        if entry is None:
+            return Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
+                            rng.randint(1, magnitude))
+        if not entry:
+            return Fraction(0)
+        return entry * rng.randint(-magnitude, magnitude)
 
     def succ(self, a: GroupValue) -> GroupValue:
         raise NotDiscretelyOrdered("Q is densely ordered; no element has a cover")
@@ -195,10 +208,6 @@ class QChain:
         vals = {Fraction(p, q) for q in (1, 2, 3)
                 for p in range(-radius * q, radius * q + 1)}
         return sorted(vals, key=lambda v: (abs(v), v))
-
-    def sample(self, rng: random.Random, magnitude: int) -> Fraction:
-        return Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
-                        rng.randint(1, magnitude))
 
     @property
     def discretely_ordered(self) -> bool:
@@ -244,9 +253,7 @@ class Trivial:
     def coords(self, a: tuple) -> tuple:
         return ()
 
-    def from_coords(self, coords: Sequence) -> tuple:
-        if coords:
-            raise ShapeError("the trivial chain has no coordinates")
+    def _build(self, take) -> tuple:
         return ()
 
     def succ(self, a: GroupValue) -> GroupValue:
@@ -264,9 +271,6 @@ class Trivial:
 
     def window(self, radius: int, cap: int) -> list:
         return [()]
-
-    def sample(self, rng: random.Random, magnitude: int) -> tuple:
-        return ()
 
     @property
     def discretely_ordered(self) -> bool:

@@ -12,8 +12,10 @@ each component's rows once, in a dict passed down the recursion, so the
 levels of a left-nested tower share their second chain's window.  A ``Z^k``
 chain enumerates its box by whole L1 shells and stops after the shell that
 reaches the cap.  The random sampler draws arbitrary carrier members with
-seeded randomness.  Both are pure functions of their inputs, which keeps
-every verification run and countermodel search reproducible.
+seeded randomness; it builds group-part values in one ``Algebra._build``
+pass, each coordinate drawn by its base chain's ``_draw``.  Both are pure
+functions of their inputs, which keeps every verification run and
+countermodel search reproducible.
 """
 
 from __future__ import annotations
@@ -100,27 +102,14 @@ def sample_group_elem(algebra: Algebra,
                       rng: random.Random,
                       magnitude: int = 8) -> Elem:
     """A random group-part element satisfying the descriptor."""
-    coords = []
-    for entry, kind in zip(desc.entries, algebra.ambient_kinds):
-        if entry is None:
-            if kind == "Q":
-                coords.append(Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
-                                       rng.randint(1, magnitude)))
-            else:
-                coords.append(rng.randint(-magnitude, magnitude))
-        elif entry == 0:
-            coords.append(Fraction(0) if kind == "Q" else 0)
-        else:
-            k = rng.randint(-magnitude, magnitude)
-            # on a Z coordinate, (p/q)Z meets Z in pZ
-            coords.append(entry * k if kind == "Q" else entry.numerator * k)
-    return algebra._unflatten(tuple(coords))
+    entries = iter(desc.entries)
+    return algebra._build(lambda chain: chain._draw(rng, next(entries), magnitude))
 
 
 def sample_elem(algebra: Algebra, rng: random.Random, magnitude: int = 8) -> Elem:
     """A random carrier member; every carrier clause has positive probability."""
     if isinstance(algebra, BaseAlgebra):
-        return algebra.chain.sample(rng, magnitude)
+        return algebra._build(lambda chain: chain._draw(rng, None, magnitude))
     if isinstance(algebra, BoundedAlgebra):
         roll = rng.random()
         if roll < 0.05:

@@ -34,7 +34,7 @@ from .chains import (
     trivial_chain,
     z_chain,
 )
-from .elements import Elem, Marker, Pair, format_elem
+from .elements import TOP_MARKER, Elem, Marker, Pair, format_elem
 from .errors import (
     ClosureBudgetExceeded,
     NotDense,
@@ -304,7 +304,8 @@ class StandardTarget:
                            value: GroupValue) -> Elem:
         if not source_stage.ambient_kinds:  # rank 0: the trivial group
             return target.unit()
-        return target._unflatten(source_stage._group_coords(value))
+        coords = iter(source_stage._group_coords(value))
+        return target._build(lambda chain: chain._coord(next(coords)))
 
     def _embed(self, i: int, e: Elem) -> Elem:
         if i == 1:
@@ -390,19 +391,19 @@ class Type2Fusion:
     def to_right(self, e: Elem) -> Elem:
         self.left.ensure_member(e)
         inner, outer = e.first, e.second
-        if outer is Marker.TOP:
-            if inner.second is Marker.TOP:
-                return Pair(inner.first, Marker.TOP)
-            return Pair(inner.first, Pair(inner.second, Marker.TOP))
+        if outer is TOP_MARKER:
+            if inner.second is TOP_MARKER:
+                return Pair(inner.first, TOP_MARKER)
+            return Pair(inner.first, Pair(inner.second, TOP_MARKER))
         return Pair(inner.first, Pair(inner.second, outer))
 
     def to_left(self, e: Elem) -> Elem:
         self.right.ensure_member(e)
-        if e.second is Marker.TOP:
-            return Pair(Pair(e.first, Marker.TOP), Marker.TOP)
+        if e.second is TOP_MARKER:
+            return Pair(Pair(e.first, TOP_MARKER), TOP_MARKER)
         b, c = e.second.first, e.second.second
-        if c is Marker.TOP:
-            return Pair(Pair(e.first, b), Marker.TOP)
+        if c is TOP_MARKER:
+            return Pair(Pair(e.first, b), TOP_MARKER)
         return Pair(Pair(e.first, b), c)
 
 
@@ -429,8 +430,8 @@ def zj_tuple(j: int, e: Elem) -> list:
     """Tuple view of an integer-tower element: integers with a TOP suffix."""
     if j == 1:
         return [e[0]]
-    if e.second is Marker.TOP:
-        return [e.first[0]] + [Marker.TOP] * (j - 1)
+    if e.second is TOP_MARKER:
+        return [e.first[0]] + [TOP_MARKER] * (j - 1)
     return [e.first[0]] + zj_tuple(j - 1, e.second)
 
 
@@ -443,8 +444,8 @@ def zj_from_tuple(j: int, items: Sequence) -> Elem:
     if j == 1:
         return head
     rest = items[1:]
-    if all(x is Marker.TOP for x in rest):
-        return Pair(head, Marker.TOP)
+    if all(x is TOP_MARKER for x in rest):
+        return Pair(head, TOP_MARKER)
     return Pair(head, zj_from_tuple(j - 1, rest))
 
 
@@ -454,8 +455,8 @@ def zjk_iso(j: int, k: int, e: Elem) -> Elem:
 
     product = build_plp("II", make_zj(j), second=make_zj(k))
     product.ensure_member(e)
-    if e.second is Marker.TOP:
-        items = zj_tuple(j, e.first) + [Marker.TOP] * k
+    if e.second is TOP_MARKER:
+        items = zj_tuple(j, e.first) + [TOP_MARKER] * k
     else:
         items = zj_tuple(j, e.first) + zj_tuple(k, e.second)
     return zj_from_tuple(j + k, items)
@@ -466,10 +467,10 @@ def zjk_iso_inverse(j: int, k: int, e: Elem) -> Elem:
     make_zj(j + k).ensure_member(e)
     items = zj_tuple(j + k, e)
     head, tail = items[:j], items[j:]
-    if any(x is Marker.TOP for x in head):
-        return Pair(zj_from_tuple(j, head), Marker.TOP)
-    if all(x is Marker.TOP for x in tail):
-        return Pair(zj_from_tuple(j, head), Marker.TOP)
+    if any(x is TOP_MARKER for x in head):
+        return Pair(zj_from_tuple(j, head), TOP_MARKER)
+    if all(x is TOP_MARKER for x in tail):
+        return Pair(zj_from_tuple(j, head), TOP_MARKER)
     return Pair(zj_from_tuple(j, head), zj_from_tuple(k, tail))
 
 

@@ -11,6 +11,7 @@ from oddlex import (
     SubgroupDescriptor,
     Trivial,
     ZLex,
+    z_chain,
 )
 
 Z2 = ZLex(2)
@@ -48,6 +49,14 @@ def test_shape_errors():
         Q.add(Fraction(1), (1, 2))
     with pytest.raises(ShapeError):
         ZLex(0)
+
+
+def test_bool_coordinates_are_not_integers():
+    # bool subclasses int, but True prints as "True", which no literal parses
+    assert not z_chain().contains((True,))
+    assert not Z2.is_canonical((1, False))
+    with pytest.raises(ShapeError):
+        Z2.add((True, 0), (0, 0))
 
 
 @given(vectors2, vectors2, vectors2)

@@ -28,8 +28,8 @@ from oddlex import (
     z_chain,
 )
 from oddlex.elements import BOT_BOUND, TOP_BOUND
-from oddlex.sampling import sample_elem, window_elements
-from oddlex.towers import MODE_III_IV
+from oddlex.sampling import sample_elem, sample_group_elem, window_elements
+from oddlex.towers import MODE_III_IV, build_standard_target
 from conftest import rng
 
 D_FULL1 = SubgroupDescriptor.full(1)
@@ -112,3 +112,36 @@ def test_key_order_is_the_structural_order(name):
         if len(ka) < len(kb):
             assert kb[:len(ka)] != ka, (a, b)
 
+
+
+def _rebuild(algebra, coords):
+    """``algebra._build`` fed ``coords`` in order; every coordinate is used."""
+    taken = iter(coords)
+    e = algebra._build(lambda chain: next(taken))
+    assert next(taken, None) is None
+    return e
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_build_inverts_the_group_coordinates(name):
+    A = ALGEBRAS[name]
+    r = rng(f"build:{name}")
+    for _ in range(30):
+        g = sample_group_elem(A, A.group_part_descriptor, r)
+        coords = A._group_coords(g)
+        assert coords is not None and A.contains(g)
+        assert _rebuild(A, coords) == g
+
+
+@pytest.mark.parametrize("spec", [README_SPEC, {"ranks": [2, 0, 1], "iota": ["IV", "III"]}])
+def test_build_round_trips_through_the_standard_embedding(spec):
+    target = build_standard_target(RepresentationSpec.from_json(spec))
+    r = rng("build:embed")
+    for i, (source, stage) in enumerate(zip(target.source.stages, target.stages), 1):
+        for _ in range(20):
+            g = sample_group_elem(source, source.group_part_descriptor, r)
+            image = target.embed(i, g)
+            coords = stage._group_coords(image)
+            if 0 not in spec["ranks"]:  # a rank-0 stage gains a zero coordinate
+                assert coords == source._group_coords(g)
+            assert _rebuild(stage, coords) == image
