@@ -13,9 +13,11 @@ levels of a left-nested tower share their second chain's window.  A ``Z^k``
 chain enumerates its box by whole L1 shells and stops after the shell that
 reaches the cap.  The random sampler draws arbitrary carrier members with
 seeded randomness; it builds group-part values in one ``Algebra._build``
-pass, each coordinate drawn by its base chain's ``_draw``.  Both are pure
-functions of their inputs, which keeps every verification run and
-countermodel search reproducible.
+pass, each coordinate drawn by its base chain's ``_draw``, and weighs a
+product's clauses by the idempotent counts of its factors, so that every tau
+value of a deep tower is drawn about evenly.  Both are pure functions of
+their inputs, which keeps every verification run and countermodel search
+reproducible.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .groups import SubgroupDescriptor
 # Sizes are exact integers counting twelfths: a marker or a global bound
 # weighs 1/4, and window rationals have denominators 1..3.
 _MARKER_SIZE = 3
+
+# The weight of sample_elem's marker-on-Z clause, counted in tau values.
+_MARKER_WEIGHT = 0.25
 
 
 def window_elements(algebra: Algebra, radius: int = 3, cap: int = 4000) -> list[Elem]:
@@ -117,20 +122,23 @@ def sample_elem(algebra: Algebra, rng: random.Random, magnitude: int = 8) -> Ele
         if roll < 0.10:
             return TOP_BOUND
         return sample_elem(algebra.inner, rng, magnitude)
-    # products
-    roll = rng.random()
-    if algebra.has_bot_marker:
-        if roll < 0.45:
-            return Pair(sample_group_elem(algebra.first, algebra.vdesc, rng, magnitude),
-                        sample_elem(algebra.second, rng, magnitude))
-        if roll < 0.65:
-            return Pair(sample_group_elem(algebra.first, algebra.zdesc, rng, magnitude),
-                        TOP_MARKER if rng.random() < 0.5 else BOT_MARKER)
-        return Pair(sample_elem(algebra.first, rng, magnitude), BOT_MARKER)
-    if roll < 0.5:
-        return Pair(sample_group_elem(algebra.first, algebra.vdesc, rng, magnitude),
+    # Products.  Clause weights are counted in tau values: the (v, y) clause
+    # alone lifts the second factor's c2 tau values, so it gets c2 of c1 + c2;
+    # the marker-on-Z clause, whose tau values all lift the unit's, gets
+    # _MARKER_WEIGHT; an arbitrary first component gets the rest.  So every
+    # tau value is drawn about evenly, however deep it lies.
+    first = algebra.first
+    c1, c2 = first.idempotent_count, algebra.second.idempotent_count
+    roll = rng.random() * (c1 + c2)
+    if roll < c2:
+        return Pair(sample_group_elem(first, algebra.vdesc, rng, magnitude),
                     sample_elem(algebra.second, rng, magnitude))
-    return Pair(sample_elem(algebra.first, rng, magnitude), TOP_MARKER)
+    if not algebra.has_bot_marker:
+        return Pair(sample_elem(first, rng, magnitude), TOP_MARKER)
+    if roll < c2 + _MARKER_WEIGHT:
+        return Pair(sample_group_elem(first, algebra.zdesc, rng, magnitude),
+                    TOP_MARKER if rng.random() < 0.5 else BOT_MARKER)
+    return Pair(sample_elem(first, rng, magnitude), BOT_MARKER)
 
 
 def sample_distinct_pair(algebra: Algebra, rng: random.Random,
