@@ -68,11 +68,11 @@ def _clause(A, e):
 
 def _clauses_per_level(A, e, out, level=0):
     out.add((level, _clause(A, e)))
-    inner = A.inner if isinstance(A, BoundedAlgebra) else A.first
-    if isinstance(A, BoundedAlgebra) and e not in (BOT_BOUND, TOP_BOUND):
-        _clauses_per_level(inner, e, out, level + 1)
-    elif isinstance(A, PlpAlgebra) and isinstance(inner, PlpAlgebra):
-        _clauses_per_level(inner, e.first, out, level + 1)
+    if isinstance(A, BoundedAlgebra):
+        if e not in (BOT_BOUND, TOP_BOUND):
+            _clauses_per_level(A.inner, e, out, level + 1)
+    elif isinstance(A.first, PlpAlgebra):
+        _clauses_per_level(A.first, e.first, out, level + 1)
 
 
 @pytest.mark.parametrize("kinds", [("III",), ("III", "IV")], ids=["iii", "alt"])
