@@ -12,6 +12,9 @@ from .chains import (
     BoundedAlgebra,
     PlpAlgebra,
     PlpKind,
+    QChain,
+    Trivial,
+    ZLex,
     adjoin_bounds,
     q_chain,
     qelem,
@@ -26,14 +29,13 @@ from .errors import (
     LiteralSyntaxError,
     MembershipError,
     NotDense,
-    NotDiscretelyOrdered,
     OddlexError,
     PreconditionViolation,
     ShapeError,
     UnassignedVariable,
     UndefinedCover,
 )
-from .groups import QChain, SubgroupDescriptor, Trivial, ZLex
+from .groups import SubgroupDescriptor
 from .literals import parse_elem
 from .logic import (
     Countermodel,

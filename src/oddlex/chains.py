@@ -4,9 +4,12 @@ An :class:`Algebra` describes a chain together with its monoidal operation,
 residual negation, residuum and the derived structure (group part, covers,
 unit-preserving tau map).  Three shapes exist:
 
-* :class:`BaseAlgebra` -- a linearly ordered abelian group viewed as an odd
-  chain (``* = +``, ``neg = -``, ``t = f = 0``); its elements are the group's
-  canonical values themselves;
+* the base chains -- a linearly ordered abelian group already is an odd chain
+  (``* = +``, ``neg = -``, ``t = f = 0``), so :class:`ZLex` (``Z^k`` in lex
+  order), :class:`QChain` (the rationals) and :class:`Trivial` (the
+  one-element group) are algebras themselves, subclasses of the field-less
+  :class:`BaseAlgebra`; their elements are the group's canonical values (an
+  int tuple, a ``Fraction``, ``()``);
 * :class:`PlpAlgebra` -- a type I/II/III/IV partial lexicographic product of a
   chain and a second chain, with top/bottom fiber markers;
 * :class:`BoundedAlgebra` -- a chain with two global bounds adjoined, the top
@@ -14,18 +17,22 @@ unit-preserving tau map).  Three shapes exist:
   dominates the top under multiplication).
 
 All values are immutable and every operation is pure.  Validation happens
-once, where values enter: the public operations check carrier membership of
-their operands and raise :class:`MembershipError` otherwise, and carrier
-membership checks the canonical form of every group value.  The
-``_``-prefixed variants trust their operands: they skip validation all the
-way down and use the group chains' unchecked
-``_add``/``_invert``/``_succ``/``_pred``.  They are used for recursion into
-components and on values validated earlier (formula evaluation, the samplers,
-the suites).  The residuum ``a -> b = neg(a * neg b)`` has one raw form,
-:meth:`Algebra._residuum`, with ``_tau(a) = a -> a``.  Group-part elements
-are built the same trusted way, in one pass: :meth:`Algebra._build` pairs the
-builds of a product's factors, defers through the bounds, and lets each base
-chain ask its ``take`` for its coordinates in order.
+once, where values enter: the public operations (``compare``, ``mult``,
+``neg``, ``cover_up``, ...) check carrier membership of their operands and
+raise :class:`MembershipError` otherwise, and carrier membership checks the
+canonical form of every group value.  They are the only checked boundary.
+The ``_``-prefixed variants trust their operands and skip validation all the
+way down, to the base chains' ``_mult``/``_invert``/``_cover_up``.  They are
+used for recursion into components and on values validated earlier (formula
+evaluation, the samplers, the suites).  The residuum
+``a -> b = neg(a * neg b)`` has one raw form, :meth:`Algebra._residuum`, with
+``_tau(a) = a -> a``.  Group-part elements are built the same trusted way, in
+one pass: :meth:`Algebra._build` pairs the builds of a product's factors,
+defers through the bounds, and lets each base chain ask its ``take`` for its
+coordinates in order.  A base chain also owns its coordinates (``coords``,
+``_coord`` for an integer coordinate), its window and its seeded per-coordinate
+draw (``_draw`` inside a descriptor entry: ``*``, ``0`` or the multiples of
+``p/q``).
 
 The order is one flat key per element, :meth:`Algebra._key`, compared natively
 by :meth:`Algebra._compare` and by every sort: a base-chain element ``v`` has
@@ -48,6 +55,8 @@ or checks that component (:meth:`Algebra._neg_coords`, ``_group_coords``).
 from __future__ import annotations
 
 import enum
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,8 +64,8 @@ from typing import Optional
 
 from .elements import (BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Elem, Marker,
                        Pair, Second, format_elem)
-from .errors import MembershipError, PreconditionViolation, UndefinedCover
-from .groups import GroupChain, GroupValue, QChain, SubgroupDescriptor, Trivial, ZLex
+from .errors import MembershipError, PreconditionViolation, ShapeError, UndefinedCover
+from .groups import Entry, GroupValue, SubgroupDescriptor, _l1_shell
 
 
 class PlpKind(enum.Enum):
@@ -248,51 +257,19 @@ class Algebra:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class BaseAlgebra(Algebra):
-    """A group chain as an odd residuated chain."""
-
-    chain: GroupChain
-
-    def contains(self, e: Elem) -> bool:
-        return self.chain.is_canonical(e)
-
-    def unit(self) -> Elem:
-        return self.chain.unit()
+    """A linearly ordered abelian group as an odd chain: ``* = +``,
+    ``neg = -``, ``t = f = 0``.  The three chains below subclass it; each
+    element is one of the group's canonical values."""
 
     def _key_into(self, e, add):
         add(e)
 
-    def _mult(self, a, b):
-        return self.chain._add(a, b)
-
     def _neg_coords(self, a, want):
-        return self.chain._invert(a), self.chain.coords(a) if want else None
-
-    def _cover_up(self, a):
-        return self.chain._succ(a)
-
-    def _cover_down(self, a):
-        return self.chain._pred(a)
-
-    def _below(self, e):
-        return self.chain.below(e)
-
-    def _above(self, e):
-        return self.chain.above(e)
-
-    def _between(self, x, y):
-        return self.chain.between(x, y)
+        return self._invert(a), self.coords(a) if want else None
 
     def _group_coords(self, e):
-        return self.chain.coords(e) if self.contains(e) else None
-
-    def _build(self, take):
-        return self.chain._build(take)
-
-    @cached_property
-    def ambient_kinds(self):
-        return self.chain.kinds
+        return self.coords(e) if self.contains(e) else None
 
     @cached_property
     def group_part_descriptor(self):
@@ -302,25 +279,179 @@ class BaseAlgebra(Algebra):
     def is_unbounded(self):
         return bool(self.ambient_kinds)  # only the one-element chain has no coordinates
 
-    @property
-    def grpart_discretely_embedded(self):
-        return self.chain.discretely_ordered
-
     def density_obstruction(self):
-        if self.chain.discretely_ordered:
-            return f"base chain {self.chain} is discretely ordered"
+        if self.grpart_discretely_embedded:
+            return f"base chain {self} is discretely ordered"
         return None
 
-    @property
-    def covers_confined_to_group_part(self):
-        return True
+    covers_confined_to_group_part = True
+    idempotent_count = 1
 
-    @property
-    def idempotent_count(self):
-        return 1
+
+@dataclass(frozen=True)
+class ZLex(BaseAlgebra):
+    """The group Z^dim with lexicographic order; discretely ordered."""
+
+    dim: int
+    grpart_discretely_embedded = True
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ShapeError("ZLex rank must be >= 1 (use Trivial for rank 0)")
+
+    def contains(self, e):
+        return (isinstance(e, tuple) and len(e) == self.dim
+                and all(type(c) is int for c in e))
+
+    def unit(self):
+        return (0,) * self.dim
+
+    @cached_property
+    def ambient_kinds(self):
+        return ("Z",) * self.dim
+
+    def coords(self, a: tuple) -> tuple:
+        return a
+
+    _coord = int
+
+    def _build(self, take) -> tuple:
+        return tuple([take(self) for _ in range(self.dim)])
+
+    def _draw(self, rng: random.Random, entry: Entry, magnitude: int) -> int:
+        if entry is None:
+            return rng.randint(-magnitude, magnitude)
+        if not entry:
+            return 0
+        # (p/q)Z meets Z in pZ
+        return entry.numerator * rng.randint(-magnitude, magnitude)
+
+    def _mult(self, a, b):
+        return tuple(map(operator.add, a, b))
+
+    def _invert(self, a: tuple) -> tuple:
+        return tuple(map(operator.neg, a))
+
+    def _cover_up(self, a):
+        # The unique upper cover in lex order bumps the last coordinate.
+        return a[:-1] + (a[-1] + 1,)
+
+    def _cover_down(self, a):
+        return a[:-1] + (a[-1] - 1,)
+
+    # The nearest strict witnesses of a discrete chain are its covers.
+    _below, _above = _cover_down, _cover_up
+
+    def _between(self, x, y):
+        nxt = self._cover_up(x)
+        return None if nxt == y else nxt
+
+    def window(self, radius: int, cap: int) -> list:
+        """Vectors in the box [-radius, radius]^dim, by whole L1 shells.
+
+        Shells 0, 1, 2, ... are added until the list holds at least ``cap``
+        vectors, so it contains the ``cap`` vectors of least L1 norm without
+        building the rest of the box.
+        """
+        out: list = []
+        for norm in range(self.dim * radius + 1):
+            if len(out) >= cap:
+                break
+            out.extend(_l1_shell(self.dim, norm, radius))
+        return out
 
     def __str__(self):
-        return str(self.chain)
+        return "Z" if self.dim == 1 else f"Z^{self.dim}"
+
+
+@dataclass(frozen=True)
+class QChain(BaseAlgebra):
+    """The rationals with their natural order; densely ordered."""
+
+    ambient_kinds = ("Q",)
+    grpart_discretely_embedded = False
+
+    def contains(self, e):
+        return isinstance(e, Fraction)  # rationals are stored as Fraction
+
+    def unit(self):
+        return Fraction(0)
+
+    def coords(self, a: Fraction) -> tuple:
+        return (a,)
+
+    _coord = Fraction
+
+    def _build(self, take) -> Fraction:
+        return take(self)
+
+    def _draw(self, rng: random.Random, entry: Entry, magnitude: int) -> Fraction:
+        if entry is None:
+            return Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
+                            rng.randint(1, magnitude))
+        if not entry:
+            return Fraction(0)
+        return entry * rng.randint(-magnitude, magnitude)
+
+    def _mult(self, a, b):
+        return a + b
+
+    def _invert(self, a: Fraction) -> Fraction:
+        return -a
+
+    def _below(self, e):
+        return e - 1
+
+    def _above(self, e):
+        return e + 1
+
+    def _between(self, x, y):
+        return (x + y) / 2
+
+    def window(self, radius: int, cap: int) -> list:
+        # O(radius) values: the whole box, whatever the cap.
+        vals = {Fraction(p, q) for q in (1, 2, 3)
+                for p in range(-radius * q, radius * q + 1)}
+        return sorted(vals, key=lambda v: (abs(v), v))
+
+    def __str__(self):
+        return "Q"
+
+
+@dataclass(frozen=True)
+class Trivial(BaseAlgebra):
+    """The one-element group, represented by the empty integer vector."""
+
+    ambient_kinds = ()
+    grpart_discretely_embedded = False
+
+    def contains(self, e):
+        return e == ()
+
+    def unit(self):
+        return ()
+
+    def coords(self, a: tuple) -> tuple:
+        return ()
+
+    def _build(self, take) -> tuple:
+        return ()
+
+    def _mult(self, *values: tuple) -> tuple:
+        return ()
+
+    _invert = _mult
+
+    def _below(self, *values: tuple) -> None:
+        return None  # one element: nothing lies strictly beside it
+
+    _above = _between = _below
+
+    def window(self, radius: int, cap: int) -> list:
+        return [()]
+
+    def __str__(self):
+        return "1"
 
 
 @dataclass(frozen=True)
@@ -668,16 +799,16 @@ def adjoin_bounds(algebra: Algebra) -> BoundedAlgebra:
 
 # Convenience constructors for the two base chains most code starts from.
 
-def z_chain(rank: int = 1) -> BaseAlgebra:
-    return BaseAlgebra(ZLex(rank))
+def z_chain(rank: int = 1) -> ZLex:
+    return ZLex(rank)
 
 
-def q_chain() -> BaseAlgebra:
-    return BaseAlgebra(QChain())
+def q_chain() -> QChain:
+    return QChain()
 
 
-def trivial_chain() -> BaseAlgebra:
-    return BaseAlgebra(Trivial())
+def trivial_chain() -> Trivial:
+    return Trivial()
 
 
 def zelem(*coords: int) -> GroupValue:

@@ -13,10 +13,6 @@ class MembershipError(OddlexError):
     """Element is not a member of the carrier it was used with."""
 
 
-class NotDiscretelyOrdered(OddlexError):
-    """Successor/predecessor requested in a chain without covers."""
-
-
 class UndefinedCover(OddlexError):
     """No unique neighbour exists for the element in this algebra.
 

@@ -1,286 +1,24 @@
-"""Linearly ordered abelian groups used as building blocks.
+"""Group values and coordinatewise subgroup descriptors.
 
-Three chains are supported: ``Z^k`` under lexicographic order (written
-additively), the rationals ``Q``, and the one-element group.  Viewed as odd
-residuated chains they carry ``x * y = x + y``, ``neg x = -x`` and
-``t = f = 0``; the richer operations live on the algebra layer.  This module
-provides the group arithmetic, the order, covers and coordinatewise subgroup
-descriptors.  Each chain owns its coordinates, canonical form, trusted
-builder, window, seeded draw and strict witnesses.  Only ``literals._coerce``
-and ``serialize._algebra_doc`` still tell the three chains apart by class,
-and ``towers._transport`` by the ``ambient_kinds`` strings.
-
-The public ``compare``, ``add``, ``invert``, ``succ`` and ``pred`` check that
-their arguments are canonical values of the chain.  The ``_``-prefixed
-``_add``, ``_invert``, ``_succ`` and ``_pred`` trust them: the algebra layer's
-raw element ops call these on values validated where they entered.
-
-Values are built unchecked too: ``_build(take)`` asks ``take(chain)`` for
-each coordinate in order, ``_draw`` draws one coordinate inside a descriptor
-entry (``*``, ``0`` or the multiples of ``p/q``), and ``_coord`` turns an
-integer coordinate into one of the chain's.
+The base chains ``Z^k``, ``Q`` and the one-element group are algebras in
+their own right and live in :mod:`oddlex.chains`.  This module holds what
+they and the products share below the algebra layer: the group values (an
+int tuple or a ``Fraction``), the :class:`SubgroupDescriptor` that picks a
+coordinatewise subgroup of a lex product of Z's and Q's, its ``Entry``
+encoding, and ``_l1_shell``, which enumerates the integer vectors of one L1
+norm for the ``Z^k`` window.
 """
 
 from __future__ import annotations
 
-import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import NotDiscretelyOrdered, ShapeError
+from .errors import ShapeError
 
 # A group value is either an integer vector (Z^k, k >= 0) or a rational.
 GroupValue = Union[tuple, Fraction]
-
-
-@dataclass(frozen=True)
-class ZLex:
-    """The group Z^rank with lexicographic order; discretely ordered."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ShapeError("ZLex rank must be >= 1 (use Trivial for rank 0)")
-
-    def is_canonical(self, a: GroupValue) -> bool:
-        return (isinstance(a, tuple) and len(a) == self.rank
-                and all(type(c) is int for c in a))
-
-    def check(self, a: GroupValue) -> tuple:
-        if not self.is_canonical(a):
-            raise ShapeError(f"expected an integer vector of length {self.rank}, got {a!r}")
-        return a
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return ("Z",) * self.rank
-
-    def coords(self, a: tuple) -> tuple:
-        return a
-
-    _coord = int
-
-    def _build(self, take) -> tuple:
-        return tuple([take(self) for _ in range(self.rank)])
-
-    def _draw(self, rng: random.Random, entry: Entry, magnitude: int) -> int:
-        if entry is None:
-            return rng.randint(-magnitude, magnitude)
-        if not entry:
-            return 0
-        # (p/q)Z meets Z in pZ
-        return entry.numerator * rng.randint(-magnitude, magnitude)
-
-    def compare(self, a: GroupValue, b: GroupValue) -> int:
-        a, b = self.check(a), self.check(b)
-        return (a > b) - (a < b)
-
-    def add(self, a: GroupValue, b: GroupValue) -> tuple:
-        return self._add(self.check(a), self.check(b))
-
-    def invert(self, a: GroupValue) -> tuple:
-        return self._invert(self.check(a))
-
-    def _add(self, a: tuple, b: tuple) -> tuple:
-        return tuple(map(operator.add, a, b))
-
-    def _invert(self, a: tuple) -> tuple:
-        return tuple(map(operator.neg, a))
-
-    def unit(self) -> tuple:
-        return (0,) * self.rank
-
-    def succ(self, a: GroupValue) -> tuple:
-        return self._succ(self.check(a))
-
-    def pred(self, a: GroupValue) -> tuple:
-        return self._pred(self.check(a))
-
-    def _succ(self, a: tuple) -> tuple:
-        # The unique upper cover in lex order bumps the last coordinate.
-        return a[:-1] + (a[-1] + 1,)
-
-    def _pred(self, a: tuple) -> tuple:
-        return a[:-1] + (a[-1] - 1,)
-
-    # The nearest strict witnesses of a discrete chain are its covers.
-    below, above = _pred, _succ
-
-    def between(self, a: tuple, b: tuple) -> Optional[tuple]:
-        nxt = self._succ(a)
-        return None if nxt == b else nxt
-
-    def window(self, radius: int, cap: int) -> list:
-        """Vectors in the box [-radius, radius]^rank, by whole L1 shells.
-
-        Shells 0, 1, 2, ... are added until the list holds at least ``cap``
-        vectors, so it contains the ``cap`` vectors of least L1 norm without
-        building the rest of the box.
-        """
-        out: list = []
-        for norm in range(self.rank * radius + 1):
-            if len(out) >= cap:
-                break
-            out.extend(_l1_shell(self.rank, norm, radius))
-        return out
-
-    @property
-    def discretely_ordered(self) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        return "Z" if self.rank == 1 else f"Z^{self.rank}"
-
-
-@dataclass(frozen=True)
-class QChain:
-    """The rationals with their natural order; densely ordered."""
-
-    kinds = ("Q",)
-
-    def is_canonical(self, a: GroupValue) -> bool:
-        return isinstance(a, Fraction)  # rationals are stored as Fraction
-
-    def check(self, a: GroupValue) -> Fraction:
-        if isinstance(a, int):
-            return Fraction(a)
-        if not isinstance(a, Fraction):
-            raise ShapeError(f"expected a rational, got {a!r}")
-        return a
-
-    def compare(self, a: GroupValue, b: GroupValue) -> int:
-        a, b = self.check(a), self.check(b)
-        return (a > b) - (a < b)
-
-    def add(self, a: GroupValue, b: GroupValue) -> Fraction:
-        return self.check(a) + self.check(b)
-
-    def invert(self, a: GroupValue) -> Fraction:
-        return -self.check(a)
-
-    def _add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def _invert(self, a: Fraction) -> Fraction:
-        return -a
-
-    def unit(self) -> Fraction:
-        return Fraction(0)
-
-    def coords(self, a: Fraction) -> tuple:
-        return (a,)
-
-    _coord = Fraction
-
-    def _build(self, take) -> Fraction:
-        return take(self)
-
-    def _draw(self, rng: random.Random, entry: Entry, magnitude: int) -> Fraction:
-        if entry is None:
-            return Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
-                            rng.randint(1, magnitude))
-        if not entry:
-            return Fraction(0)
-        return entry * rng.randint(-magnitude, magnitude)
-
-    def succ(self, a: GroupValue) -> GroupValue:
-        raise NotDiscretelyOrdered("Q is densely ordered; no element has a cover")
-
-    def pred(self, a: GroupValue) -> GroupValue:
-        raise NotDiscretelyOrdered("Q is densely ordered; no element has a cover")
-
-    _succ, _pred = succ, pred
-
-    def below(self, a: Fraction) -> Fraction:
-        return a - 1
-
-    def above(self, a: Fraction) -> Fraction:
-        return a + 1
-
-    def between(self, a: Fraction, b: Fraction) -> Fraction:
-        return (a + b) / 2
-
-    def window(self, radius: int, cap: int) -> list:
-        # O(radius) values: the whole box, whatever the cap.
-        vals = {Fraction(p, q) for q in (1, 2, 3)
-                for p in range(-radius * q, radius * q + 1)}
-        return sorted(vals, key=lambda v: (abs(v), v))
-
-    @property
-    def discretely_ordered(self) -> bool:
-        return False
-
-    def __str__(self) -> str:
-        return "Q"
-
-
-@dataclass(frozen=True)
-class Trivial:
-    """The one-element group, represented by the empty integer vector."""
-
-    kinds = ()
-
-    def is_canonical(self, a: GroupValue) -> bool:
-        return a == ()
-
-    def check(self, a: GroupValue) -> tuple:
-        if a != ():
-            raise ShapeError(f"the trivial group only contains (), got {a!r}")
-        return ()
-
-    def compare(self, a: GroupValue, b: GroupValue) -> int:
-        self.check(a), self.check(b)
-        return 0
-
-    def add(self, a: GroupValue, b: GroupValue) -> tuple:
-        self.check(a), self.check(b)
-        return ()
-
-    def invert(self, a: GroupValue) -> tuple:
-        return self.check(a)
-
-    def _add(self, *values: tuple) -> tuple:
-        return ()
-
-    _invert = _add
-
-    def unit(self) -> tuple:
-        return ()
-
-    def coords(self, a: tuple) -> tuple:
-        return ()
-
-    def _build(self, take) -> tuple:
-        return ()
-
-    def succ(self, a: GroupValue) -> GroupValue:
-        raise NotDiscretelyOrdered("the one-element chain has no covers")
-
-    def pred(self, a: GroupValue) -> GroupValue:
-        raise NotDiscretelyOrdered("the one-element chain has no covers")
-
-    _succ, _pred = succ, pred
-
-    def below(self, *values: tuple) -> None:
-        return None  # one element: nothing lies strictly beside it
-
-    above = between = below
-
-    def window(self, radius: int, cap: int) -> list:
-        return [()]
-
-    @property
-    def discretely_ordered(self) -> bool:
-        return False
-
-    def __str__(self) -> str:
-        return "1"
-
-
-GroupChain = Union[ZLex, QChain, Trivial]
 
 
 def _l1_shell(rank: int, norm: int, radius: int):

@@ -15,10 +15,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .chains import Algebra, BaseAlgebra, BoundedAlgebra, PlpAlgebra
+from .chains import Algebra, BaseAlgebra, BoundedAlgebra, PlpAlgebra, QChain, Trivial, ZLex
 from .elements import BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Elem, Pair
 from .errors import LiteralSyntaxError, MembershipError
-from .groups import QChain, Trivial, ZLex
 
 _TOKEN = re.compile(r"\s*(TOP|BOT|T|B|-?\d+/\d+|-?\d+|[(),<>])")
 
@@ -96,21 +95,20 @@ def _coerce(algebra: Algebra, raw: _Raw) -> Elem:
         raise MembershipError(f"global bound {raw.tag} used in unbounded algebra {algebra}")
     if raw.tag in ("T", "B"):
         raise MembershipError("fiber markers T/B may only appear as second components")
+    if isinstance(algebra, ZLex):
+        if raw.tag == "int" and algebra.dim == 1:
+            return (raw.payload,)
+        if raw.tag == "vec" and len(raw.payload) == algebra.dim:
+            return raw.payload
+    elif isinstance(algebra, QChain):
+        if raw.tag == "int":
+            return Fraction(raw.payload)
+        if raw.tag == "frac":
+            return raw.payload
+    elif isinstance(algebra, Trivial):
+        if raw.tag == "vec" and raw.payload == ():
+            return ()
     if isinstance(algebra, BaseAlgebra):
-        chain = algebra.chain
-        if isinstance(chain, ZLex):
-            if raw.tag == "int" and chain.rank == 1:
-                return (raw.payload,)
-            if raw.tag == "vec" and len(raw.payload) == chain.rank:
-                return raw.payload
-        elif isinstance(chain, QChain):
-            if raw.tag == "int":
-                return Fraction(raw.payload)
-            if raw.tag == "frac":
-                return raw.payload
-        elif isinstance(chain, Trivial):
-            if raw.tag == "vec" and raw.payload == ():
-                return ()
         raise MembershipError(f"literal does not denote an element of {algebra}")
     if isinstance(algebra, PlpAlgebra):
         if raw.tag != "pair":

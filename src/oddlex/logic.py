@@ -299,6 +299,9 @@ class Countermodel:
             raise ShapeError("recorded goal value does not match re-evaluation")
         if holds(A, self.goal_value):
             raise ShapeError("goal value is not below the unit")
+        if len(self.theory) != len(self.theory_values):
+            raise ShapeError(f"{len(self.theory)} theory formulas but "
+                             f"{len(self.theory_values)} recorded theory values")
         for phi, value in zip(self.theory, self.theory_values):
             if eval_formula(A, phi, self.assignment) != value:
                 raise ShapeError("recorded theory value does not match re-evaluation")
@@ -309,6 +312,11 @@ class Countermodel:
             values = [self.rendering[e] for e in sorted(self.rendering, key=A._key)]
             if any(r1 >= r2 for r1, r2 in zip(values, values[1:])):
                 raise ShapeError("rendering is not order-preserving")
+            for e, r in self.rendering.items():
+                placed = r == 1 if e is TOP_BOUND else r == 0 if e is BOT_BOUND else 0 < r < 1
+                if not placed:
+                    raise ShapeError(f"rendering sends {format_elem(e)} to {r}; "
+                                     "the bounds go to 0 and 1, the rest into (0, 1)")
 
     def to_json(self) -> dict:
         from .serialize import algebra_to_json

@@ -67,18 +67,18 @@ def _window_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list:
 
 
 def _value_row(chain, value) -> tuple:
-    size = abs(value) if isinstance(value, Fraction) else sum(abs(c) for c in value)
-    twelfths = Fraction(size) * 12
+    coords = chain.coords(value)
+    twelfths = Fraction(sum(map(abs, coords))) * 12
     if twelfths.denominator != 1:
         raise ShapeError(f"window value {value} has a denominator outside 1..3")
-    return (twelfths.numerator, format_group_value(value)), value, None, chain.coords(value)
+    return (twelfths.numerator, format_group_value(value)), value, None, coords
 
 
 def _candidate_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list:
     """Unsorted candidates ``(key, x, s, group_coords)`` that ``_window_rows``
     sorts and caps; the element is ``x`` when ``s`` is None, else ``Pair(x, s)``."""
     if isinstance(algebra, BaseAlgebra):
-        return [_value_row(algebra.chain, v) for v in algebra.chain.window(radius, cap)]
+        return [_value_row(algebra, v) for v in algebra.window(radius, cap)]
     if isinstance(algebra, BoundedAlgebra):
         return [((_MARKER_SIZE, BOT_BOUND.value), BOT_BOUND, None, None),
                 ((_MARKER_SIZE, TOP_BOUND.value), TOP_BOUND, None, None)] \

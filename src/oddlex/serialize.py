@@ -17,9 +17,9 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Optional, TextIO
 
-from .chains import Algebra, BaseAlgebra, BoundedAlgebra, adjoin_bounds
+from .chains import Algebra, BoundedAlgebra, QChain, Trivial, ZLex, adjoin_bounds
 from .errors import ShapeError
-from .groups import QChain, SubgroupDescriptor, Trivial, ZLex
+from .groups import SubgroupDescriptor
 from .plp import build_plp
 from .towers import Countertower, RepresentationSpec
 
@@ -37,12 +37,11 @@ def algebra_to_json(algebra: Algebra, memo: Optional[dict] = None) -> dict:
 
 
 def _algebra_doc(algebra: Algebra, memo: Optional[dict]) -> dict:
-    if isinstance(algebra, BaseAlgebra):
-        chain = algebra.chain
-        if isinstance(chain, ZLex):
-            return {"base": "Z", "rank": chain.rank}
-        if isinstance(chain, QChain):
-            return {"base": "Q"}
+    if isinstance(algebra, ZLex):
+        return {"base": "Z", "rank": algebra.dim}
+    if isinstance(algebra, QChain):
+        return {"base": "Q"}
+    if isinstance(algebra, Trivial):
         return {"base": "1"}
     if isinstance(algebra, BoundedAlgebra):
         return {"bounded": algebra_to_json(algebra.inner, memo)}
@@ -63,11 +62,11 @@ def algebra_from_json(doc: dict) -> Algebra:
     if "base" in doc:
         kind = doc["base"]
         if kind == "Z":
-            return BaseAlgebra(ZLex(int(doc.get("rank", 1))))
+            return ZLex(int(doc.get("rank", 1)))
         if kind == "Q":
-            return BaseAlgebra(QChain())
+            return QChain()
         if kind == "1":
-            return BaseAlgebra(Trivial())
+            return Trivial()
         raise ShapeError(f"unknown base chain {kind!r}")
     if "bounded" in doc:
         return adjoin_bounds(algebra_from_json(doc["bounded"]))

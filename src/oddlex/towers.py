@@ -20,6 +20,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,7 +305,7 @@ class StandardTarget:
                            value: GroupValue) -> Elem:
         if not source_stage.ambient_kinds:  # rank 0: the trivial group
             return target.unit()
-        coords = iter(source_stage._group_coords(value))
+        coords = iter(source_stage.coords(value))
         return target._build(lambda chain: chain._coord(next(coords)))
 
     def _embed(self, i: int, e: Elem) -> Elem:
@@ -449,12 +450,17 @@ def zj_from_tuple(j: int, items: Sequence) -> Elem:
     return Pair(head, zj_from_tuple(j - 1, rest))
 
 
-def zjk_iso(j: int, k: int, e: Elem) -> Elem:
-    """Flatten an element of ``PLPII(Z_j, Z_k)`` into ``Z_{j+k}``."""
+@functools.lru_cache(maxsize=32)
+def _zjk_algebras(j: int, k: int) -> tuple[PlpAlgebra, Algebra]:
+    """``PLPII(Z_j, Z_k)`` and ``Z_{j+k}``, built once per (j, k)."""
     from .plp import build_plp
 
-    product = build_plp("II", make_zj(j), second=make_zj(k))
-    product.ensure_member(e)
+    return build_plp("II", make_zj(j), second=make_zj(k)), make_zj(j + k)
+
+
+def zjk_iso(j: int, k: int, e: Elem) -> Elem:
+    """Flatten an element of ``PLPII(Z_j, Z_k)`` into ``Z_{j+k}``."""
+    _zjk_algebras(j, k)[0].ensure_member(e)
     if e.second is TOP_MARKER:
         items = zj_tuple(j, e.first) + [TOP_MARKER] * k
     else:
@@ -464,7 +470,7 @@ def zjk_iso(j: int, k: int, e: Elem) -> Elem:
 
 def zjk_iso_inverse(j: int, k: int, e: Elem) -> Elem:
     """Split a ``Z_{j+k}`` element back into ``PLPII(Z_j, Z_k)``."""
-    make_zj(j + k).ensure_member(e)
+    _zjk_algebras(j, k)[1].ensure_member(e)
     items = zj_tuple(j + k, e)
     head, tail = items[:j], items[j:]
     if any(x is TOP_MARKER for x in head):

@@ -6,12 +6,12 @@ from oddlex import (
     BOT_BOUND,
     INT_IN_Q,
     TOP_BOUND,
-    BaseAlgebra,
     Marker,
     MembershipError,
     NotDense,
     Pair,
     PreconditionViolation,
+    QChain,
     UndefinedCover,
     adjoin_bounds,
     between,
@@ -104,7 +104,7 @@ def test_messages_print_elements_as_literals(monkeypatch):
     with pytest.raises(UndefinedCover, match=r"^TOP lies outside the group part of Bounded\(Z\)$"):
         BZ.cover_up(TOP_BOUND)
     # The between witness never fails on a dense order; force the failure to see its text.
-    monkeypatch.setattr(BaseAlgebra, "_between", lambda self, x, y: None)
+    monkeypatch.setattr(QChain, "_between", lambda self, x, y: None)
     with pytest.raises(NotDense, match=r"^no element between -1/2 and 1/2$"):
         between(Q, qelem(-1, 2), qelem(1, 2))
 

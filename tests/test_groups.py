@@ -1,3 +1,10 @@
+"""The base chains through the algebra layer's checked ops, and descriptors.
+
+``z_chain(2)``, ``q_chain()`` and ``trivial_chain()`` are the groups Z^2, Q
+and 1 viewed as odd chains: ``compare``, ``mult`` (= +), ``neg`` (= -) and
+``cover_up``/``cover_down`` check membership of their operands.
+"""
+
 from fractions import Fraction
 
 import pytest
@@ -5,20 +12,37 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oddlex import (
-    NotDiscretelyOrdered,
-    QChain,
+    Algebra,
+    MembershipError,
     ShapeError,
     SubgroupDescriptor,
-    Trivial,
+    UndefinedCover,
     ZLex,
+    adjoin_bounds,
+    q_chain,
+    trivial_chain,
     z_chain,
 )
+from oddlex.serialize import algebra_from_json, algebra_to_json
 
-Z2 = ZLex(2)
-Q = QChain()
+Z2 = z_chain(2)
+Q = q_chain()
 
 vectors2 = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def test_the_base_chains_are_algebras():
+    for A, shown in ((Z2, "Z^2"), (z_chain(), "Z"), (Q, "Q"), (trivial_chain(), "1")):
+        assert isinstance(A, Algebra)
+        assert str(A) == shown
+        assert str(adjoin_bounds(A)) == f"Bounded({shown})"
+    assert Z2 == ZLex(2) and hash(Z2) == hash(ZLex(2))
+    assert Z2 != z_chain(3) and Q != trivial_chain()
+    for A in (z_chain(3), Q, trivial_chain()):
+        assert algebra_from_json(algebra_to_json(A)) == A
+    assert algebra_to_json(z_chain(3)) == {"base": "Z", "rank": 3}
+    assert Z2.rank() == Q.rank() == trivial_chain().rank() == 0  # t = f
 
 
 def test_lex_compare_examples():
@@ -28,25 +52,25 @@ def test_lex_compare_examples():
 
 
 def test_group_op_examples():
-    assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert Z2.invert((3, -1)) == (-3, 1)
-    assert ZLex(3).unit() == (0, 0, 0)
+    assert Q.mult(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Z2.neg((3, -1)) == (-3, 1)
+    assert z_chain(3).unit() == (0, 0, 0)
 
 
 def test_succ_pred_examples():
-    assert ZLex(1).pred((-3,)) == (-4,)
-    assert Z2.succ((1, 7)) == (1, 8)
-    with pytest.raises(NotDiscretelyOrdered):
-        Q.succ(Fraction(1, 2))
-    with pytest.raises(NotDiscretelyOrdered):
-        Trivial().pred(())
+    assert z_chain(1).cover_down((-3,)) == (-4,)
+    assert Z2.cover_up((1, 7)) == (1, 8)
+    with pytest.raises(UndefinedCover):
+        Q.cover_up(Fraction(1, 2))
+    with pytest.raises(UndefinedCover):
+        trivial_chain().cover_down(())
 
 
 def test_shape_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(MembershipError):
         Z2.compare((1,), (1, 2))
-    with pytest.raises(ShapeError):
-        Q.add(Fraction(1), (1, 2))
+    with pytest.raises(MembershipError):
+        Q.mult(Fraction(1), (1, 2))
     with pytest.raises(ShapeError):
         ZLex(0)
 
@@ -54,39 +78,39 @@ def test_shape_errors():
 def test_bool_coordinates_are_not_integers():
     # bool subclasses int, but True prints as "True", which no literal parses
     assert not z_chain().contains((True,))
-    assert not Z2.is_canonical((1, False))
-    with pytest.raises(ShapeError):
-        Z2.add((True, 0), (0, 0))
+    assert not Z2.contains((1, False))
+    with pytest.raises(MembershipError):
+        Z2.mult((True, 0), (0, 0))
 
 
 @given(vectors2, vectors2, vectors2)
 def test_lex_order_translation_invariant(a, b, c):
-    assert (Z2.compare(a, b) < 0) == (Z2.compare(Z2.add(a, c), Z2.add(b, c)) < 0)
+    assert (Z2.compare(a, b) < 0) == (Z2.compare(Z2.mult(a, c), Z2.mult(b, c)) < 0)
 
 
 @given(vectors2, vectors2)
 def test_lex_order_antisymmetric_and_inverse_reverses(a, b):
     assert Z2.compare(a, b) == -Z2.compare(b, a)
-    assert (Z2.compare(a, b) < 0) == (Z2.compare(Z2.invert(b), Z2.invert(a)) < 0)
+    assert (Z2.compare(a, b) < 0) == (Z2.compare(Z2.neg(b), Z2.neg(a)) < 0)
 
 
 @given(rationals, rationals)
 def test_rational_group_laws(a, b):
-    assert Q.add(a, b) == Q.add(b, a)
-    assert Q.add(a, Q.unit()) == a
-    assert Q.add(a, Q.invert(a)) == Q.unit()
+    assert Q.mult(a, b) == Q.mult(b, a)
+    assert Q.mult(a, Q.unit()) == a
+    assert Q.mult(a, Q.neg(a)) == Q.unit()
 
 
 @given(vectors2)
 def test_succ_covers(a):
-    up = Z2.succ(a)
+    up = Z2.cover_up(a)
     assert Z2.compare(a, up) < 0
-    assert Z2.pred(up) == a
+    assert Z2.cover_down(up) == a
 
 
 def test_succ_is_a_cover_no_window_element_between():
     a = (0, 0)
-    up = Z2.succ(a)
+    up = Z2.cover_up(a)
     window = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
     assert not any(Z2.compare(a, w) < 0 and Z2.compare(w, up) < 0 for w in window)
 
@@ -149,9 +173,9 @@ def test_subgroup_closure_sampled():
     members = [(2 * i, 3 * j) for i in range(-4, 5) for j in range(-4, 5)]
     for a in members:
         assert d.contains_coords(a)
-        assert d.contains_coords(Z2.invert(a))
+        assert d.contains_coords(Z2.neg(a))
         for b in members[:9]:
-            assert d.contains_coords(Z2.add(a, b))
+            assert d.contains_coords(Z2.mult(a, b))
     assert d.contains_coords(Z2.unit())
 
 

@@ -6,6 +6,7 @@ import pytest
 from oddlex import (
     BOT_BOUND,
     TOP_BOUND,
+    Countermodel,
     FormulaSyntaxError,
     PreconditionViolation,
     ShapeError,
@@ -258,3 +259,28 @@ def test_validate_rejects_a_tampered_rendering(i, j):
     swapped = {**cm.rendering, a: cm.rendering[b], b: cm.rendering[a]}
     with pytest.raises(ShapeError, match="rendering is not order-preserving"):
         replace(cm, rendering=swapped).validate()
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc["theory"].append("~p"),  # false under the assignment
+    lambda doc: doc.update(theory_values=[]),
+], ids=["extra-premise", "no-theory-values"])
+def test_validate_rejects_theory_values_that_do_not_match_the_theory(tamper):
+    doc = check_consequence(BZ, [parse_formula("~p")], parse_formula("p"),
+                            budget=4000, seed=0).to_json()
+    Countermodel.from_json(doc).validate()
+    tamper(doc)
+    with pytest.raises(ShapeError, match="theory formulas but"):
+        Countermodel.from_json(doc).validate()
+
+
+@pytest.mark.parametrize("place", [
+    lambda i, n: 5 + Fraction(5 * i, n - 1),  # BOT..TOP -> 5..10
+    lambda i, n: Fraction(i + 1, n + 1),  # all inside (0, 1), the bounds too
+], ids=["outside-the-unit-interval", "bounds-not-at-0-and-1"])
+def test_validate_rejects_a_rendering_off_the_unit_interval(place):
+    cm = rendered(check_consequence(BZ, [], parse_formula("(p*p)->p"), budget=5000, seed=0))
+    order = sorted(cm.rendering, key=BZ._key)
+    moved = {e: place(i, len(order)) for i, e in enumerate(order)}
+    with pytest.raises(ShapeError, match="rendering sends"):
+        replace(cm, rendering=moved).validate()

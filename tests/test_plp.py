@@ -2,7 +2,6 @@ import pytest
 
 from oddlex import (
     INT_IN_Q,
-    BaseAlgebra,
     Marker,
     Pair,
     PlpAlgebra,
@@ -127,7 +126,7 @@ def test_bounded_operands_are_rejected():
         build_plp("I", q_chain(), zdesc=INT_IN_Q, second=adjoin_bounds(q_chain()))
 
 
-class _ShiftedNegation(BaseAlgebra):
+class _ShiftedNegation(ZLex):
     """Z with the involution x -> 1 - x, which moves the unit: t != f."""
 
     def _neg_coords(self, a, want):
@@ -136,7 +135,7 @@ class _ShiftedNegation(BaseAlgebra):
 
 
 def test_operands_whose_negation_moves_the_unit_are_rejected():
-    shifted = _ShiftedNegation(ZLex(1))
+    shifted = _ShiftedNegation(1)
     assert shifted.rank() != 0
     with pytest.raises(PreconditionViolation, match="not odd"):
         build_plp("II", shifted, second=z_chain())

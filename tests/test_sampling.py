@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from oddlex.chains import BaseAlgebra, BoundedAlgebra, adjoin_bounds, q_chain, trivial_chain, z_chain
+from oddlex.chains import (BaseAlgebra, BoundedAlgebra, QChain, ZLex, adjoin_bounds, q_chain,
+                           trivial_chain, z_chain)
 from oddlex.cli import main
 from oddlex.elements import BOT_BOUND, TOP_BOUND, Bound, Marker, Pair, format_elem
 from oddlex.errors import ShapeError
-from oddlex.groups import QChain, ZLex
 from oddlex.sampling import _window_rows, sample_elem, sample_group_elem, window_elements
 from oddlex.towers import (
     MODE_I_II,
@@ -41,7 +41,7 @@ def _ref_size(e) -> Fraction:
 
 def _ref_box(chain, radius):
     if isinstance(chain, ZLex):
-        return list(itertools.product(range(-radius, radius + 1), repeat=chain.rank))
+        return list(itertools.product(range(-radius, radius + 1), repeat=chain.dim))
     if isinstance(chain, QChain):
         return list({Fraction(p, q) for q in (1, 2, 3)
                      for p in range(-radius * q, radius * q + 1)})
@@ -50,7 +50,7 @@ def _ref_box(chain, radius):
 
 def _ref_all(A, radius, cap):
     if isinstance(A, BaseAlgebra):
-        return _ref_box(A.chain, radius)
+        return _ref_box(A, radius)
     if isinstance(A, BoundedAlgebra):
         return [BOT_BOUND, TOP_BOUND] + _ref_all(A.inner, radius, cap)
     second_window = reference_window(A.second, radius, cap)
