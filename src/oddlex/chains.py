@@ -50,6 +50,9 @@ Single-walk contract: each element operation and each membership test visits
 each node of an element tree O(1) times.  A product level that tests its first
 component's group-part coordinates takes them from the recursion that negates
 or checks that component (:meth:`Algebra._neg_coords`, ``_group_coords``).
+One operation collects them in one buffer, and each level tests only the
+entries its first factor's group part does not imply (``_zrel``/``_vrel``).
+The oddness gate :meth:`Algebra.rank` still negates the real operand's unit.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class Algebra:
 
     def _compare(self, a: Elem, b: Elem) -> int:
         ka, kb = self._key(a), self._key(b)
-        return (ka > kb) - (ka < kb)
+        return 0 if ka == kb else 1 if ka > kb else -1  # one scan when equal
 
     def _key(self, e: Elem) -> tuple:
         """Flat, prefix-free order key of ``e``; native tuple order is the chain order."""
@@ -181,7 +184,7 @@ class Algebra:
         raise NotImplementedError
 
     def _neg(self, a: Elem) -> Elem:
-        return self._neg_coords(a, False)[0]
+        return self._neg_coords(a, None)[0]
 
     def _residuum(self, a: Elem, b: Elem) -> Elem:
         return self._neg(self._mult(a, self._neg(b)))
@@ -189,8 +192,11 @@ class Algebra:
     def _tau(self, a: Elem) -> Elem:
         return self._residuum(a, a)
 
-    def _neg_coords(self, a: Elem, want: bool) -> tuple[Elem, Optional[tuple]]:
-        """``neg a`` and, when ``want``, :meth:`_group_coords` of ``a`` (else None)."""
+    def _neg_coords(self, a: Elem, out: Optional[list]) -> tuple[Elem, bool]:
+        """``neg a`` and whether ``a`` is in the group part; ``a``'s coordinates
+        go to ``out``, the operation's one buffer (None: no level above tests
+        them).  Each level tests only the entries its first factor's group part
+        does not imply; :meth:`rank` runs this on the real operand's unit."""
         raise NotImplementedError
 
     def _cover_up(self, a: Elem) -> Elem:
@@ -265,8 +271,10 @@ class BaseAlgebra(Algebra):
     def _key_into(self, e, add):
         add(e)
 
-    def _neg_coords(self, a, want):
-        return self._invert(a), self.coords(a) if want else None
+    def _neg_coords(self, a, out):
+        if out is not None:
+            out.extend(self.coords(a))
+        return self._invert(a), True
 
     def _group_coords(self, e):
         return self.coords(e) if self.contains(e) else None
@@ -488,9 +496,13 @@ class PlpAlgebra(Algebra):
 
     # -- carrier ------------------------------------------------------------
 
-    def _in_subgroup(self, desc: SubgroupDescriptor, x: Elem) -> bool:
+    # Z and V less the entries that the first factor's group part already implies
+    _zrel = cached_property(lambda self: self.zdesc.relative_to(self.first.group_part_descriptor))
+    _vrel = cached_property(lambda self: self.vdesc.relative_to(self.first.group_part_descriptor))
+
+    def _in_subgroup(self, rel: SubgroupDescriptor, x: Elem) -> bool:
         coords = self.first._group_coords(x)
-        return coords is not None and desc.contains_coords(coords)
+        return coords is not None and rel.contains_coords(coords)
 
     def contains(self, e):
         # Having group coordinates implies membership: each branch walks x once.
@@ -500,8 +512,8 @@ class PlpAlgebra(Algebra):
         if s is BOT_MARKER or (s is TOP_MARKER and self.kind is PlpKind.IV):
             return (s is TOP_MARKER or self.has_bot_marker) and self.first.contains(x)
         if s is TOP_MARKER:
-            return self._in_subgroup(self.zdesc, x)
-        return self._in_subgroup(self.vdesc, x) and self.second.contains(s)
+            return self._in_subgroup(self._zrel, x)
+        return self._in_subgroup(self._vrel, x) and self.second.contains(s)
 
     @cached_property
     def _unit(self):
@@ -538,23 +550,25 @@ class PlpAlgebra(Algebra):
         return Pair(self.first._mult(a.first, b.first),
                     self._mult_second(a.second, b.second))
 
-    def _neg_coords(self, a, want):
-        # x's coordinates are asked for where this level tests them: type III
-        # always, type IV under the top marker.  A member (x, y) has x in V.
+    def _neg_coords(self, a, out):
+        # Type III tests x's coordinates in the caller's buffer, or a new one if
+        # _zrel constrains any; type IV tests none.  A member (x, y) has x in V.
         x, s = a.first, a.second
         if self.kind is PlpKind.III:
-            nx, cx = self.first._neg_coords(x, True)
-            if cx is None or not self.zdesc.contains_coords(cx):
-                return Pair(nx, BOT_MARKER), None
+            buf = [] if out is None and self._zrel.constrained else out
+            start = 0 if buf is None else len(buf)
+            nx, g = self.first._neg_coords(x, buf)
+            if not g or buf is not None and not self._zrel.contains_coords(buf, start):
+                return Pair(nx, BOT_MARKER), False
             if isinstance(s, Marker):
-                return Pair(nx, TOP_MARKER if s is BOT_MARKER else BOT_MARKER), None
+                return Pair(nx, TOP_MARKER if s is BOT_MARKER else BOT_MARKER), False
         elif s is TOP_MARKER:  # type IV: carrier is (X x {T}) | (V x Y)
-            nx, cx = self.first._neg_coords(x, True)
-            return Pair(nx if cx is None else self.first._cover_down(nx), TOP_MARKER), None
+            nx, g = self.first._neg_coords(x, None)
+            return Pair(self.first._cover_down(nx) if g else nx, TOP_MARKER), False
         else:
-            nx, cx = self.first._neg_coords(x, want)
-        ns, cs = self.second._neg_coords(s, want)
-        return Pair(nx, ns), (cx + cs if want and cs is not None else None)
+            nx, _ = self.first._neg_coords(x, out)
+        ns, g = self.second._neg_coords(s, out)
+        return Pair(nx, ns), g
 
     def _cover_up(self, a):
         return Pair(a.first, self.second._cover_up(a.second))
@@ -582,7 +596,7 @@ class PlpAlgebra(Algebra):
                 return self._on_free_marker(mid)
             # b covers a in the first component: squeeze into the boundary fibers
             if self.has_bot_marker:
-                if s is not TOP_MARKER and self._in_subgroup(self.zdesc, a):
+                if s is not TOP_MARKER and self._in_subgroup(self._zrel, a):
                     return Pair(a, TOP_MARKER)
                 if u is not BOT_MARKER:
                     return Pair(b, BOT_MARKER)
@@ -590,14 +604,14 @@ class PlpAlgebra(Algebra):
             if s is not TOP_MARKER:
                 return Pair(a, TOP_MARKER)
             if u is TOP_MARKER:
-                w = second.unit() if self._in_subgroup(self.vdesc, b) else None
+                w = second.unit() if self._in_subgroup(self._vrel, b) else None
             else:
                 w = second._below(u)
             return None if w is None else Pair(b, w)
 
         # equal first components; compare second components within the fiber
         if s is BOT_MARKER:
-            if not self._in_subgroup(self.vdesc, a):
+            if not self._in_subgroup(self._vrel, a):
                 return None  # marker-only fiber
             w = second.unit() if u is TOP_MARKER else second._below(u)
         elif u is TOP_MARKER:
@@ -612,7 +626,7 @@ class PlpAlgebra(Algebra):
         if not isinstance(e, Pair) or isinstance(e.second, Marker):
             return None
         cx = self.first._group_coords(e.first)
-        if cx is None or not self.vdesc.contains_coords(cx):
+        if cx is None or not self._vrel.contains_coords(cx):
             return None
         cs = self.second._group_coords(e.second)
         return None if cs is None else cx + cs
@@ -727,10 +741,10 @@ class BoundedAlgebra(Algebra):
             return TOP_BOUND
         return self.inner._mult(a, b)
 
-    def _neg_coords(self, a, want):
+    def _neg_coords(self, a, out):
         if isinstance(a, Bound):
-            return (TOP_BOUND if a is BOT_BOUND else BOT_BOUND), None
-        return self.inner._neg_coords(a, want)
+            return (TOP_BOUND if a is BOT_BOUND else BOT_BOUND), False
+        return self.inner._neg_coords(a, out)
 
     def _cover_up(self, a):
         return self.inner._cover_up(a)

@@ -57,12 +57,10 @@ class SubgroupDescriptor:
 
     def __post_init__(self):
         for e in self.entries:
-            if e is None:
-                continue
-            if not isinstance(e, Fraction) or e < 0:
+            if e is not None and (not isinstance(e, Fraction) or e.numerator < 0):
                 raise ShapeError(f"descriptor entry must be '*', 0, or a positive rational, got {e!r}")
-        # (index, p, q) for each non-'*' entry p/q, read by contains_coords
-        object.__setattr__(self, "_constrained", tuple(
+        # (index, p, q) for each non-'*' entry p/q, read by contains_coords, refines, relative_to
+        object.__setattr__(self, "constrained", tuple(
             (i, e.numerator, e.denominator) for i, e in enumerate(self.entries) if e is not None))
 
     @classmethod
@@ -89,15 +87,14 @@ class SubgroupDescriptor:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def contains_coords(self, coords: Sequence) -> bool:
-        if len(coords) != len(self.entries):
+    def contains_coords(self, coords: Sequence, start: int = 0) -> bool:
+        """Whether ``coords[start:]``, the tail of a caller's buffer, is in the subgroup."""
+        if len(coords) - start != len(self.entries):
             raise ShapeError(
-                f"descriptor has {len(self.entries)} coordinates, value has {len(coords)}")
-        if not self._constrained:
-            return True
+                f"descriptor has {len(self.entries)} coordinates, value has {len(coords) - start}")
         # c lies in (p/q)Z iff c*q/p is an integer; for c = a/b, iff b*p divides a*q.
-        for i, p, q in self._constrained:
-            c = coords[i]
+        for i, p, q in self.constrained:
+            c = coords[start + i]
             if not p:
                 if c != 0:
                     return False
@@ -112,19 +109,21 @@ class SubgroupDescriptor:
         """True when this descriptor's subgroup is contained in ``other``'s."""
         if len(self) != len(other):
             return False
-        for mine, theirs in zip(self.entries, other.entries):
-            if theirs is None:
-                continue
-            if mine is None:
-                return False
-            if theirs == 0:
-                if mine != 0:
-                    return False
-            elif mine == 0:
-                continue
-            elif mine % theirs != 0:
+        # '*' lies in no proper subgroup; a/b lies in (p/q)Z iff b*p divides a*q.
+        for i, p, q in other.constrained:
+            mine = self.entries[i]
+            if mine is None or (mine.numerator * q % (mine.denominator * p) if p
+                                else mine.numerator):
                 return False
         return True
+
+    def relative_to(self, base: "SubgroupDescriptor") -> "SubgroupDescriptor":
+        """This descriptor with each entry that ``base`` repeats set to '*'; both
+        agree on coordinates that lie in ``base``'s subgroup."""
+        implied = set(base.constrained)
+        return SubgroupDescriptor(tuple(
+            None if e is None or (i, e.numerator, e.denominator) in implied else e
+            for i, e in enumerate(self.entries)))
 
     def __str__(self) -> str:
         return "[" + ",".join(self.to_strings()) + "]"

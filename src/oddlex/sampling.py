@@ -89,11 +89,11 @@ def _candidate_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list
         marked = size + _MARKER_SIZE
         if algebra.has_bot_marker:
             out.append(((marked, f"({lit}, B)"), x, BOT_MARKER, None))
-            if cx is not None and algebra.zdesc.contains_coords(cx):
+            if cx is not None and algebra._zrel.contains_coords(cx):
                 out.append(((marked, f"({lit}, T)"), x, TOP_MARKER, None))
         else:
             out.append(((marked, f"({lit}, T)"), x, TOP_MARKER, None))
-        if cx is not None and algebra.vdesc.contains_coords(cx):
+        if cx is not None and algebra._vrel.contains_coords(cx):
             out.extend(((size + ysize, f"({lit}, {ylit})"), x, y,
                         None if cy is None else cx + cy)
                        for (ysize, ylit), y, cy in second_rows)

@@ -44,8 +44,9 @@ from .errors import (
 )
 from .groups import GroupValue, SubgroupDescriptor
 
+_ONE = Fraction(1)
 #: Z sitting inside Q, as a coordinatewise descriptor.
-INT_IN_Q = SubgroupDescriptor((Fraction(1),))
+INT_IN_Q = SubgroupDescriptor((_ONE,))
 
 MODE_III_IV = "III-IV"
 MODE_I_II = "I-II"
@@ -273,7 +274,7 @@ def _transport(desc: SubgroupDescriptor, source_ranks: Sequence[int],
                 raise ShapeError("descriptor does not match the stage coordinates")
             entry = desc.entries[si]
             if target_kinds[ti] == "Q" and entry is None:
-                entries.append(Fraction(1))
+                entries.append(_ONE)
             else:
                 entries.append(entry)
             si += 1

@@ -168,6 +168,40 @@ def test_contains_coords_agrees_with_the_fraction_reference(case):
     assert desc.contains_coords(coords) == _reference_contains(desc, coords)
 
 
+def _reference_refines(mine, theirs):
+    """Descriptor refinement written with Fraction arithmetic."""
+    if len(mine) != len(theirs):
+        return False
+    for m, t in zip(mine.entries, theirs.entries):
+        if t is None:
+            continue
+        if m is None:
+            return False
+        if t == 0:
+            if m != 0:
+                return False
+        elif m % t != 0:
+            return False
+    return True
+
+
+@st.composite
+def descriptor_pairs(draw):
+    theirs = draw(st.lists(entry_strings, max_size=4))
+    if draw(st.booleans()):  # unrelated, and often of another length
+        mine = draw(st.lists(entry_strings, max_size=4))
+    else:  # entrywise multiples, so that refinements occur often
+        mine = [draw(entry_strings) if t == "*" else str(draw(st.integers(0, 4)) * Fraction(t))
+                for t in theirs]
+    return SubgroupDescriptor.from_strings(mine), SubgroupDescriptor.from_strings(theirs)
+
+
+@given(descriptor_pairs())
+def test_refines_agrees_with_the_fraction_reference(case):
+    mine, theirs = case
+    assert mine.refines(theirs) == _reference_refines(mine, theirs)
+
+
 def test_subgroup_closure_sampled():
     d = SubgroupDescriptor.from_strings(["2", "3"])
     members = [(2 * i, 3 * j) for i in range(-4, 5) for j in range(-4, 5)]

@@ -129,9 +129,9 @@ def test_bounded_operands_are_rejected():
 class _ShiftedNegation(ZLex):
     """Z with the involution x -> 1 - x, which moves the unit: t != f."""
 
-    def _neg_coords(self, a, want):
-        n, coords = super()._neg_coords(a, want)
-        return (n[0] + 1,), coords
+    def _neg_coords(self, a, out):
+        n, in_group = super()._neg_coords(a, out)
+        return (n[0] + 1,), in_group
 
 
 def test_operands_whose_negation_moves_the_unit_are_rejected():

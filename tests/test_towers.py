@@ -402,35 +402,42 @@ def test_bounded_case_with_a_trivial_first_stage():
 
 
 def test_contains_coords_calls_grow_linearly_per_op_and_quadratically_per_build(monkeypatch):
-    """Scaling guard: each element op visits each node of a tree O(1) times.
+    """Scaling guard: each element op tests each descriptor entry O(1) times.
 
-    On the left-nested all-III tower a residuum then makes O(n) descriptor
-    tests and ``build_standard_target`` O(n^2); a group walk repeated at every
-    level makes the counts grow about n times faster.
+    Counted are the constrained descriptor entries each ``contains_coords``
+    call tests, on left-nested all-III towers whose descriptors constrain a
+    new entry at every stage: the ``--standard`` companion tower, and the
+    III-IV tower with every Z entry ``2``.  A residuum then tests O(n)
+    entries and a build O(n^2); re-testing the whole prefix of a descriptor
+    at every level makes the counts grow about n times faster.
     """
-    calls = 0
+    entries = 0
     original = SubgroupDescriptor.contains_coords
 
-    def counting(self, coords):
-        nonlocal calls
-        calls += 1
-        return original(self, coords)
+    def counting(self, coords, *start):
+        nonlocal entries
+        entries += sum(e is not None for e in self.entries)
+        return original(self, coords, *start)
 
     monkeypatch.setattr(SubgroupDescriptor, "contains_coords", counting)
 
     def counted(fn):
-        nonlocal calls
-        calls = 0
+        nonlocal entries
+        entries = 0
         fn()
-        return calls
+        return entries
 
     residuum, build = {}, {}
     for n in (16, 32):
         spec = RepresentationSpec((1,) * n, ("III",) * (n - 1))
-        top = build_representation(spec, MODE_I_II).top
-        unit = top.unit()
-        residuum[n] = counted(lambda: top.residuum(unit, unit))
-        build[n] = counted(lambda: build_standard_target(spec))
-    assert residuum[16] > 0 and build[16] > 0
-    assert residuum[32] <= 2.5 * residuum[16]
-    assert build[32] <= 5 * build[16]
+        evens = RepresentationSpec.from_json({"ranks": [1] * n, "iota": ["III"] * (n - 1),
+                                              "zdescs": [["2"] * i for i in range(1, n)]})
+        tops = (build_standard_target(spec).top, build_representation(evens, MODE_III_IV).top)
+        residuum[n] = [counted(lambda: top.residuum(top.unit(), top.unit())) for top in tops]
+        build[n] = [counted(lambda: build_standard_target(spec)),
+                    counted(lambda: build_representation(evens, MODE_III_IV))]
+    assert all(count > 0 for count in residuum[16] + build[16])
+    for per_op16, per_op32 in zip(residuum[16], residuum[32]):
+        assert per_op32 <= 2.5 * per_op16
+    for build16, build32 in zip(build[16], build[32]):
+        assert build32 <= 5 * build16
