@@ -249,12 +249,19 @@ class Algebra:
         return self.density_obstruction() is None
 
     def density_obstruction(self) -> Optional[str]:
-        """None when dense, else a description of the first covering source."""
-        raise NotImplementedError
+        """None when dense, else a description of the first covering source.
+
+        An order is dense iff every covering pair lies in the group part and
+        the group part has none, i.e. is not discretely embedded.
+        """
+        reason = self._cover_obstruction
+        if reason is None and self.grpart_discretely_embedded:
+            return f"group part of {self} is discretely ordered"
+        return reason
 
     @property
-    def covers_confined_to_group_part(self) -> bool:
-        """True when every covering pair of the order lies inside the group part."""
+    def _cover_obstruction(self) -> Optional[str]:
+        """Why some covering pair of the order leaves the group part, or None."""
         raise NotImplementedError
 
     @property
@@ -287,12 +294,7 @@ class BaseAlgebra(Algebra):
     def is_unbounded(self):
         return bool(self.ambient_kinds)  # only the one-element chain has no coordinates
 
-    def density_obstruction(self):
-        if self.grpart_discretely_embedded:
-            return f"base chain {self} is discretely ordered"
-        return None
-
-    covers_confined_to_group_part = True
+    _cover_obstruction = None
     idempotent_count = 1
 
 
@@ -655,38 +657,31 @@ class PlpAlgebra(Algebra):
         # reduces to the last lexicographic factor.
         return self.second.grpart_discretely_embedded
 
-    def density_obstruction(self):
+    @cached_property
+    def _cover_obstruction(self):
+        # Type III: a cover a < b of the first component leaves a covering
+        # pair of marker elements, (a, T) or (a, B) below (b, B).  Type IV:
+        # the fiber over b fills the gap exactly when b lies in V.
+        name = self.display_name()
         if self.kind is PlpKind.III:
             if self.zdesc != self.vdesc:
                 return (f"{self} keeps marker-only fibers over Z\\V, "
                         "which are two-element and hence not dense")
             inner = self.first.density_obstruction()
             if inner is not None:
-                return f"first component of {self.display_name()}: {inner}"
+                return f"first component of {name}: {inner}"
         else:
-            if not self.first.covers_confined_to_group_part:
-                return (f"first component of {self.display_name()} has covers "
-                        "outside its group part")
+            inner = self.first._cover_obstruction
+            if inner is not None:
+                return f"first component of {name}: {inner}"
             if not (self.first.is_dense
                     or self.first.group_part_descriptor.refines(self.vdesc)):
-                return (f"first component of {self.display_name()} has covers "
+                return (f"first component of {name} has covers "
                         "whose fibers carry only the top marker")
         if not self.second.is_unbounded:
-            return f"second component of {self.display_name()} is bounded"
-        inner = self.second.density_obstruction()
-        if inner is not None:
-            return f"second component of {self.display_name()}: {inner}"
-        return None
-
-    @cached_property
-    def covers_confined_to_group_part(self):
-        if not (self.second.is_unbounded and self.second.covers_confined_to_group_part):
-            return False
-        if self.kind is PlpKind.III:
-            return self.zdesc == self.vdesc and self.first.is_dense
-        return (self.first.covers_confined_to_group_part
-                and (self.first.is_dense
-                     or self.first.group_part_descriptor.refines(self.vdesc)))
+            return f"second component of {name} is bounded"
+        inner = self.second._cover_obstruction
+        return None if inner is None else f"second component of {name}: {inner}"
 
     @cached_property
     def idempotent_count(self):
@@ -787,14 +782,11 @@ class BoundedAlgebra(Algebra):
     def grpart_discretely_embedded(self):
         return self.inner.grpart_discretely_embedded
 
-    def density_obstruction(self):
+    @cached_property
+    def _cover_obstruction(self):
         if not self.inner.is_unbounded:
             return "bounds adjoined to a bounded chain create covers"
-        return self.inner.density_obstruction()
-
-    @property
-    def covers_confined_to_group_part(self):
-        return self.inner.is_unbounded and self.inner.covers_confined_to_group_part
+        return self.inner._cover_obstruction
 
     @property
     def idempotent_count(self):

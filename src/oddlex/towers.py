@@ -11,7 +11,8 @@
 * ``build_standard_target`` -- the companion tower with dense second factors
   plus the stage embedding into it.
 * ``fuse_type2_iso`` / ``zjk_iso`` -- canonical re-association of nested type
-  II products and the flattening ``PLPII(Z_j, Z_k) = Z_{j+k}``.
+  II products, and the flattening ``PLPII(Z_j, Z_k) = Z_{j+k}`` as that
+  re-association iterated down the levels of ``Z_j``.
 * ``between`` -- a constructive intermediate-element witness for densely
   ordered towers.
 * ``closure_tau_count`` -- exhaustive closure of a finite generator set with
@@ -43,6 +44,7 @@ from .errors import (
     ShapeError,
 )
 from .groups import GroupValue, SubgroupDescriptor
+from .plp import build_plp
 
 _ONE = Fraction(1)
 #: Z sitting inside Q, as a coordinatewise descriptor.
@@ -190,41 +192,45 @@ def _normalize_mode(mode: str) -> str:
     raise ShapeError(f"unknown mode {mode!r}; use '{MODE_III_IV}' or '{MODE_I_II}'")
 
 
+def _build_stages(spec: RepresentationSpec, first: Algebra, factors) -> tuple[Algebra, ...]:
+    """The one stage loop: stage ``i`` is the product of kind ``iota[i-2]`` of
+    stage ``i-1`` with the ``(Z, V, second)`` that ``factors(i, prev)`` gives.
+
+    A missing Z is the whole group part of ``prev``; a missing V gives the
+    degenerate product, type I (``V = Z``) or type II (``V`` the whole group
+    part).  Construction failures are re-raised with the stage index.
+    """
+    stages = [first]
+    for i in range(2, spec.n + 1):
+        prev = stages[-1]
+        try:
+            z, v, second = factors(i, prev)
+            if spec.iota[i - 2] == "III":
+                z = z if z is not None else prev.group_part_descriptor
+                stage = build_plp("I" if v is None else "III", prev,
+                                  zdesc=z, vdesc=v, second=second)
+            else:
+                stage = build_plp("II" if v is None else "IV", prev, vdesc=v, second=second)
+        except (PreconditionViolation, ShapeError) as exc:
+            raise PreconditionViolation(f"stage {i}: {exc}") from exc
+        stages.append(stage)
+    return tuple(stages)
+
+
 def build_representation(spec: RepresentationSpec, mode: str = MODE_I_II) -> Countertower:
     """Build the tower stage by stage.
 
     Mode III-IV applies the general constructions with the given Z and V
-    descriptors; mode I-II applies the degenerate ones and consumes only the
-    Z descriptors.  Construction failures are re-raised with the stage index.
+    descriptors; mode I-II drops the V descriptors, so every stage is the
+    degenerate type I or II product.
     """
-    from .plp import build_plp
-
     mode = _normalize_mode(mode)
-    stages: list[Algebra] = [_stage_group(spec.ranks[0])]
-    for i in range(2, spec.n + 1):
-        prev = stages[-1]
-        group = _stage_group(spec.ranks[i - 1])
-        kind = spec.iota[i - 2]
-        z = spec.zdesc(i - 1)
-        v = spec.vdesc(i - 1)
-        try:
-            if kind == "III":
-                z = z if z is not None else prev.group_part_descriptor
-                if mode == MODE_I_II:
-                    stage = build_plp("I", prev, zdesc=z, second=group)
-                else:
-                    v = v if v is not None else z
-                    stage = build_plp("III", prev, zdesc=z, vdesc=v, second=group)
-            else:
-                if mode == MODE_I_II:
-                    stage = build_plp("II", prev, second=group)
-                else:
-                    v = v if v is not None else prev.group_part_descriptor
-                    stage = build_plp("IV", prev, vdesc=v, second=group)
-        except (PreconditionViolation, ShapeError) as exc:
-            raise PreconditionViolation(f"stage {i}: {exc}") from exc
-        stages.append(stage)
-    return Countertower(spec, mode, tuple(stages))
+
+    def factors(i: int, prev: Algebra):
+        v = spec.vdesc(i - 1) if mode == MODE_III_IV else None
+        return spec.zdesc(i - 1), v, _stage_group(spec.ranks[i - 1])
+
+    return Countertower(spec, mode, _build_stages(spec, _stage_group(spec.ranks[0]), factors))
 
 
 def normalize_spec(spec: RepresentationSpec) -> RepresentationSpec:
@@ -258,9 +264,10 @@ def _transport(desc: SubgroupDescriptor, source_ranks: Sequence[int],
     """Reinterpret a descriptor over the companion tower's coordinates.
 
     The described subgroup must stay the *image* of the original one under
-    the stage embedding: a full integer coordinate landing on a rational
-    coordinate becomes "multiples of 1", and a rank-0 stage (whose companion
-    chunk still has one rational coordinate) pins that coordinate to zero.
+    the stage embedding: on a rational coordinate, a full integer coordinate
+    becomes "multiples of 1" and ``p/q``, which meets Z in pZ, becomes
+    "multiples of p"; a rank-0 stage (whose companion chunk still has one
+    rational coordinate) pins that coordinate to zero.
     """
     entries = []
     si = ti = 0
@@ -273,8 +280,8 @@ def _transport(desc: SubgroupDescriptor, source_ranks: Sequence[int],
             if si >= len(desc.entries) or ti >= len(target_kinds):
                 raise ShapeError("descriptor does not match the stage coordinates")
             entry = desc.entries[si]
-            if target_kinds[ti] == "Q" and entry is None:
-                entries.append(_ONE)
+            if target_kinds[ti] == "Q":
+                entries.append(_ONE if entry is None else Fraction(entry.numerator))
             else:
                 entries.append(entry)
             si += 1
@@ -341,8 +348,6 @@ def build_standard_target(spec: RepresentationSpec) -> StandardTarget:
     second factor unless a type IV stage follows (which needs covers, hence an
     integer tower); type IV stages take a rational tower.
     """
-    from .plp import build_plp
-
     spec = normalize_spec(spec)
     source = build_representation(spec, MODE_I_II)
     n = spec.n
@@ -355,32 +360,34 @@ def build_standard_target(spec: RepresentationSpec) -> StandardTarget:
             return make_qj(k)
         return make_zj(k) if next_is_iv else make_qj(k)
 
-    # the first stage has no kind of its own and follows the type III rule
-    stages: list[Algebra] = [tower_for(1, "III")]
+    def factors(i: int, prev: Algebra):
+        # Z is the image of the source stage's Z; a type II stage has none
+        z = source.stages[i - 1].zdesc
+        if z is not None:
+            z = _transport(z, spec.ranks[:i - 1], prev.ambient_kinds)
+        return z, None, tower_for(i, spec.iota[i - 2])
 
-    for i in range(2, n + 1):
-        prev = stages[-1]
-        kind = spec.iota[i - 2]
-        second = tower_for(i, kind)
-        try:
-            if kind == "III":
-                z = spec.zdesc(i - 1)
-                if z is None:
-                    z = source.stages[i - 2].group_part_descriptor
-                stage = build_plp("I", prev,
-                                  zdesc=_transport(z, spec.ranks[:i - 1],
-                                                   prev.ambient_kinds),
-                                  second=second)
-            else:
-                stage = build_plp("II", prev, second=second)
-        except (PreconditionViolation, ShapeError) as exc:
-            raise PreconditionViolation(f"stage {i}: {exc}") from exc
-        stages.append(stage)
-    return StandardTarget(spec, source, tuple(stages))
+    # the first stage has no kind of its own and follows the type III rule
+    return StandardTarget(spec, source, _build_stages(spec, tower_for(1, "III"), factors))
 
 
 # ---------------------------------------------------------------------------
 # Canonical isomorphisms
+
+
+def _to_right(e: Elem) -> Elem:
+    """Re-associate ``((a, b), c)`` in ``PLPII(PLPII(A,B),C)`` as ``(a, (b, c))``."""
+    inner, outer = e.first, e.second
+    if outer is TOP_MARKER and inner.second is TOP_MARKER:
+        return Pair(inner.first, TOP_MARKER)
+    return Pair(inner.first, Pair(inner.second, outer))
+
+
+def _to_left(e: Elem) -> Elem:
+    """Re-associate ``(a, (b, c))`` in ``PLPII(A,PLPII(B,C))`` as ``((a, b), c)``."""
+    if e.second is TOP_MARKER:
+        return Pair(Pair(e.first, TOP_MARKER), TOP_MARKER)
+    return Pair(Pair(e.first, e.second.first), e.second.second)
 
 
 @dataclass(frozen=True)
@@ -392,21 +399,11 @@ class Type2Fusion:
 
     def to_right(self, e: Elem) -> Elem:
         self.left.ensure_member(e)
-        inner, outer = e.first, e.second
-        if outer is TOP_MARKER:
-            if inner.second is TOP_MARKER:
-                return Pair(inner.first, TOP_MARKER)
-            return Pair(inner.first, Pair(inner.second, TOP_MARKER))
-        return Pair(inner.first, Pair(inner.second, outer))
+        return _to_right(e)
 
     def to_left(self, e: Elem) -> Elem:
         self.right.ensure_member(e)
-        if e.second is TOP_MARKER:
-            return Pair(Pair(e.first, TOP_MARKER), TOP_MARKER)
-        b, c = e.second.first, e.second.second
-        if c is TOP_MARKER:
-            return Pair(Pair(e.first, b), TOP_MARKER)
-        return Pair(Pair(e.first, b), c)
+        return _to_left(e)
 
 
 def fuse_type2_iso(a: Algebra, b: Algebra, c: Algebra) -> Type2Fusion:
@@ -415,8 +412,6 @@ def fuse_type2_iso(a: Algebra, b: Algebra, c: Algebra) -> Type2Fusion:
     Either association is well-defined exactly when both are: each needs the
     group parts of ``a`` and of ``b`` discretely embedded.
     """
-    from .plp import build_plp
-
     failing = [name for name, alg in (("first", a), ("second", b))
                if not alg.grpart_discretely_embedded]
     if failing:
@@ -428,57 +423,39 @@ def fuse_type2_iso(a: Algebra, b: Algebra, c: Algebra) -> Type2Fusion:
     return Type2Fusion(left, right)
 
 
-def zj_tuple(j: int, e: Elem) -> list:
-    """Tuple view of an integer-tower element: integers with a TOP suffix."""
-    if j == 1:
-        return [e[0]]
-    if e.second is TOP_MARKER:
-        return [e.first[0]] + [TOP_MARKER] * (j - 1)
-    return [e.first[0]] + zj_tuple(j - 1, e.second)
-
-
-def zj_from_tuple(j: int, items: Sequence) -> Elem:
-    if len(items) != j:
-        raise ShapeError(f"expected {j} entries, got {len(items)}")
-    if not isinstance(items[0], int):
-        raise ShapeError("the leading tuple entry must be an integer")
-    head = (items[0],)
-    if j == 1:
-        return head
-    rest = items[1:]
-    if all(x is TOP_MARKER for x in rest):
-        return Pair(head, TOP_MARKER)
-    return Pair(head, zj_from_tuple(j - 1, rest))
-
-
 @functools.lru_cache(maxsize=32)
 def _zjk_algebras(j: int, k: int) -> tuple[PlpAlgebra, Algebra]:
     """``PLPII(Z_j, Z_k)`` and ``Z_{j+k}``, built once per (j, k)."""
-    from .plp import build_plp
-
     return build_plp("II", make_zj(j), second=make_zj(k)), make_zj(j + k)
+
+
+# Z_j = PLPII(Z, Z_{j-1}), so PLPII(Z_j, Z_k) = Z_{j+k} is the type II
+# re-association applied once per level of Z_j below its head.
+
+def _flatten(j: int, e: Elem) -> Elem:
+    if j == 1:
+        return e
+    e = _to_right(e)
+    return e if e.second is TOP_MARKER else Pair(e.first, _flatten(j - 1, e.second))
+
+
+def _split(j: int, e: Elem) -> Elem:
+    if j == 1:
+        return e
+    s = e.second
+    return _to_left(e if s is TOP_MARKER else Pair(e.first, _split(j - 1, s)))
 
 
 def zjk_iso(j: int, k: int, e: Elem) -> Elem:
     """Flatten an element of ``PLPII(Z_j, Z_k)`` into ``Z_{j+k}``."""
     _zjk_algebras(j, k)[0].ensure_member(e)
-    if e.second is TOP_MARKER:
-        items = zj_tuple(j, e.first) + [TOP_MARKER] * k
-    else:
-        items = zj_tuple(j, e.first) + zj_tuple(k, e.second)
-    return zj_from_tuple(j + k, items)
+    return _flatten(j, e)
 
 
 def zjk_iso_inverse(j: int, k: int, e: Elem) -> Elem:
     """Split a ``Z_{j+k}`` element back into ``PLPII(Z_j, Z_k)``."""
     _zjk_algebras(j, k)[1].ensure_member(e)
-    items = zj_tuple(j + k, e)
-    head, tail = items[:j], items[j:]
-    if any(x is TOP_MARKER for x in head):
-        return Pair(zj_from_tuple(j, head), TOP_MARKER)
-    if all(x is TOP_MARKER for x in tail):
-        return Pair(zj_from_tuple(j, head), TOP_MARKER)
-    return Pair(zj_from_tuple(j, head), zj_from_tuple(k, tail))
+    return _split(j, e)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ def test_build_standard_json_with_merged_iv_runs_parses(tmp_path, capsys):
     assert "note: consecutive type IV stages merged" in captured.err
 
 
+def test_build_both_towers_of_a_fractional_integer_descriptor(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json",
+                      {"ranks": [2, 1], "iota": ["III"], "zdescs": [["3/2", "*"]]})
+    assert main(["build", spec, "--mode", "III-IV"]) == 0
+    assert "restricted to [3/2,*,*]" in capsys.readouterr().out
+    assert main(["build", spec, "--standard"]) == 0
+    assert "restricted to [3,1,*]" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--json"],
     ["countermodel", "(p*p)->p", "--budget", "5000"],

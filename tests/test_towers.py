@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -156,7 +157,10 @@ def test_embedding_is_a_sampled_homomorphism():
     for spec in (RepresentationSpec((1, 2), ("III",)),
                  RepresentationSpec((1, 1), ("IV",)),
                  RepresentationSpec((2, 1, 1), ("III", "IV"),
-                                    zdescs=(SubgroupDescriptor.from_strings(["*", "2"]),))):
+                                    zdescs=(SubgroupDescriptor.from_strings(["*", "2"]),)),
+                 # (3/2)Z meets Z in 3Z, which the companion must carry over
+                 RepresentationSpec((2, 1), ("III",),
+                                    zdescs=(SubgroupDescriptor.from_strings(["3/2", "*"]),))):
         target = build_standard_target(spec)
         n = len(target.stages)
         src, dst = target.source.stages[n - 1], target.stages[n - 1]
@@ -230,11 +234,12 @@ def test_tower_flattening_examples():
 
 def test_tower_flattening_is_an_op_preserving_bijection():
     r = rng("zjk")
-    for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+    for j, k in itertools.product(range(1, 5), repeat=2):
         product = build_plp("II", make_zj(j), second=make_zj(k))
         flat = make_zj(j + k)
-        for _ in range(300):
-            a, b = sample_elem(product, r), sample_elem(product, r)
+        pool = window_elements(product, 1, 100) + [sample_elem(product, r) for _ in range(200)]
+        for a in pool:
+            b = r.choice(pool)
             fa, fb = zjk_iso(j, k, a), zjk_iso(j, k, b)
             assert flat.contains(fa)
             assert zjk_iso_inverse(j, k, fa) == a
@@ -294,6 +299,71 @@ def test_density_flags():
     assert not build_plp("III", q_chain(), zdesc=INT_IN_Q,
                          vdesc=SubgroupDescriptor.from_strings(["2"]),
                          second=q_chain()).is_dense
+
+
+DENSITY_SPECS = (
+    {"ranks": [1, 1, 1], "iota": ["III", "IV"],
+     "zdescs": [["*"], ["2", "*"]], "vdescs": [["2"], ["2", "3"]]},
+    {"ranks": [1, 2], "iota": ["III"]},
+    {"ranks": [1, 1, 1, 1, 1], "iota": ["III", "IV", "III", "IV"]},
+    {"ranks": [2, 0, 1], "iota": ["IV", "III"]},
+    {"ranks": [0, 1, 1], "iota": ["III", "IV"]},
+    {"ranks": [1, 1, 2, 1], "iota": ["IV", "IV", "III"]},
+    {"ranks": [2, 1], "iota": ["III"], "zdescs": [["3/2", "*"]]},
+    {"ranks": [1, 1], "iota": ["IV"], "vdescs": [["2"]]},
+)
+
+
+def _density_corpus():
+    """Tower stages of ``DENSITY_SPECS`` and their type I/II products with
+    small chains, all unbounded."""
+    algebras = {}
+    for doc in DENSITY_SPECS:
+        spec = RepresentationSpec.from_json(doc)
+        towers = [build_representation(spec, mode).stages for mode in (MODE_I_II, MODE_III_IV)]
+        for stage in itertools.chain(*towers, build_standard_target(spec).stages):
+            algebras.setdefault(stage)
+            for second in (z_chain(), make_qj(2)):
+                algebras.setdefault(build_plp("I", stage, zdesc=stage.group_part_descriptor,
+                                              second=second))
+                if stage.grpart_discretely_embedded:
+                    algebras.setdefault(build_plp("II", stage, second=second))
+    return list(algebras)
+
+
+def _window_gaps(A, elems):
+    """How many consecutive pairs of ``elems``, in key order, have no ``_between`` witness."""
+    rows = sorted((A._key(e), e) for e in elems)
+    gaps = 0
+    for (kx, x), (ky, y) in zip(rows, rows[1:]):
+        w = A._between(x, y)
+        if w is None:
+            gaps += 1
+        else:
+            assert kx < A._key(w) < ky
+    return gaps
+
+
+def test_is_dense_iff_every_consecutive_window_pair_has_a_witness():
+    corpus = _density_corpus()
+    assert {A.is_dense for A in corpus} == {True, False}
+    for inner in corpus:
+        # The capped window of a deep product can miss every covering pair, so
+        # a non-dense algebra without a gap is looked at again in a wider one.
+        for cap in (200, 2000):
+            elems = window_elements(inner, 2, cap)
+            gaps = _window_gaps(inner, elems)
+            if gaps or inner.is_dense:
+                break
+        bounded = adjoin_bounds(inner)
+        bounded_gaps = _window_gaps(bounded, [BOT_BOUND, *elems, TOP_BOUND])
+        pairs = ((inner, gaps, sorted(elems[:2], key=inner._key)),
+                 (bounded, bounded_gaps, (BOT_BOUND, TOP_BOUND)))
+        for A, g, pair in pairs:
+            assert A.is_dense == (g == 0), A
+            if not A.is_dense:
+                with pytest.raises(NotDense):
+                    between(A, *pair)
 
 
 # -- closure experiment ------------------------------------------------------------
