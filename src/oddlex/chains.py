@@ -70,6 +70,8 @@ from .elements import (BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Elem
 from .errors import MembershipError, PreconditionViolation, ShapeError, UndefinedCover
 from .groups import Entry, GroupValue, SubgroupDescriptor, _l1_shell
 
+_ZERO = Fraction(0)  # the unit of Q, shared: an equal-key compare with it stops at identity
+
 
 class PlpKind(enum.Enum):
     III = "III"
@@ -385,7 +387,7 @@ class QChain(BaseAlgebra):
         return isinstance(e, Fraction)  # rationals are stored as Fraction
 
     def unit(self):
-        return Fraction(0)
+        return _ZERO
 
     def coords(self, a: Fraction) -> tuple:
         return (a,)
@@ -400,14 +402,14 @@ class QChain(BaseAlgebra):
             return Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
                             rng.randint(1, magnitude))
         if not entry:
-            return Fraction(0)
+            return _ZERO
         return entry * rng.randint(-magnitude, magnitude)
 
     def _mult(self, a, b):
         return a + b
 
     def _invert(self, a: Fraction) -> Fraction:
-        return -a
+        return a if a is _ZERO else -a  # identity test: Fraction.__bool__ is Python code
 
     def _below(self, e):
         return e - 1

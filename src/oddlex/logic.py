@@ -8,7 +8,14 @@ denote the global bounds and therefore need a bound-adjoined algebra.
 Truth is "value >= t": a countermodel for ``T |= phi`` is an assignment with
 every member of ``T`` at or above the unit and ``phi`` strictly below it.
 ``check_consequence`` is a falsifier only; exhausting its budget proves
-nothing.
+nothing.  It compiles the theory and the goal once: equal subterms are one
+node, ``a -> b`` is ``~(a * ~b)`` (``Algebra._residuum``, the one definition)
+and ``~~a`` is ``a`` (negation is an involution on every constructible chain).
+Each move recomputes only the nodes whose last variable (in name order) is at
+or after the first that changed; in the systematic sweep a node also keeps at
+most ``len(window)`` values, by the window index of its last variable, until
+another of its variables changes.  The assignments tried and their order are
+unchanged; ``Countermodel.validate`` re-checks a find with ``_eval``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
@@ -226,6 +234,14 @@ def parse_theory(text: str) -> list[Formula]:
 # Evaluation
 
 
+def _constant(algebra: Algebra, const: Const) -> Elem:
+    if const in (Const.T, Const.F):
+        return algebra.unit()
+    if not isinstance(algebra, BoundedAlgebra):
+        raise PreconditionViolation("constants top/bot require a bound-adjoined algebra")
+    return TOP_BOUND if const is Const.TOP else BOT_BOUND
+
+
 def _eval(algebra: Algebra, formula: Formula, assignment: dict[str, Elem],
           trace: Optional[set] = None) -> Elem:
     if isinstance(formula, Var):
@@ -234,13 +250,7 @@ def _eval(algebra: Algebra, formula: Formula, assignment: dict[str, Elem],
         except KeyError:
             raise UnassignedVariable(f"variable {formula.name!r} has no value") from None
     elif isinstance(formula, Const):
-        if formula in (Const.T, Const.F):
-            value = algebra.unit()
-        else:
-            if not isinstance(algebra, BoundedAlgebra):
-                raise PreconditionViolation(
-                    "constants top/bot require a bound-adjoined algebra")
-            value = TOP_BOUND if formula is Const.TOP else BOT_BOUND
+        value = _constant(algebra, formula)
     elif isinstance(formula, Neg):
         value = algebra._neg(_eval(algebra, formula.operand, assignment, trace))
     else:
@@ -358,13 +368,86 @@ class Countermodel:
 
 def _assignment_stream(algebra: Algebra, names: Sequence[str], seed: int,
                        radius: int = 3, window_cap: int = 60):
-    """Systematic sweep of small elements, then seeded random draws, forever."""
+    """Systematic sweep of small elements, then seeded random draws, forever.
+
+    Yields ``(k, at, values)``: the values of ``names``, the position ``k`` of
+    the first that changed (-1 at the start), and their window indices ``at``
+    (None for a random draw, which changes every value)."""
     window = window_elements(algebra, radius=radius, cap=window_cap)
-    for combo in product(window, repeat=len(names)):
-        yield dict(zip(names, combo))
+    k = -1
+    for at in product(range(len(window)), repeat=len(names)):
+        yield k, at, [window[j] for j in at]
+        k = max((i for i, j in enumerate(at) if j + 1 < len(window)), default=0)
     rng = random.Random(seed)
     while True:
-        yield {name: sample_elem(algebra, rng) for name in names}
+        yield 0, None, [sample_elem(algebra, rng) for _ in names]
+
+
+class _Plan:
+    """The theory's nodes, then the goal's own (module docstring).  A node's record
+    ``(last, prev, node, fn, table, mask)`` holds the positions of its last two variables
+    (-1: none), its slot in ``vals``, its value from its children's, its table and mask."""
+
+    def __init__(self, algebra: Algebra, names: Sequence[str],
+                 theory: Sequence[Formula], goal: Formula):
+        self.algebra, self.names, self.unit = algebra, names, algebra._key(algebra.unit())
+        self.ids, self.vals, self.records, self.values = {}, [], [], []
+        self.theory = [self._lower(phi) for phi in theory]
+        split = len(self.records)
+        self.goal = self._lower(goal)
+        self.parts = [sorted(self.records[:split]), sorted(self.records[split:])]
+        self.pending = -1  # least k the goal part has missed since its last sweep
+
+    def _lower(self, f: Formula, negated: bool = False) -> int:  # the node of f, or of ~f
+        if isinstance(f, Neg):
+            return self._lower(f.operand, not negated)
+        A, vals, records, values = self.algebra, self.vals, self.records, self.values
+        neg, mult, order = A._neg, A._mult, A._key
+        if negated != isinstance(f, Imp):  # ~f, where a -> b is ~(a * ~b)
+            a = self._lower(f, not negated)
+            key, mask, fn = (Neg, a), records[a][5], lambda: neg(vals[a])
+        elif isinstance(f, Var):
+            i = self.names.index(f.name)
+            key, mask, fn = f, 1 << i, lambda: values[i]  # no cycle through self
+        elif isinstance(f, Const):
+            key, mask, fn = f, 0, partial(_constant, A, f)
+        else:  # negated here only for an implication, lowered to a * ~b
+            kind = Fuse if negated else type(f)
+            a, b = self._lower(f.left), self._lower(f.right, negated)
+            key, mask = (kind, a, b), records[a][5] | records[b][5]
+            fn = {Fuse: lambda: mult(vals[a], vals[b]),
+                  And: lambda: vals[a] if order(vals[a]) <= order(vals[b]) else vals[b],
+                  Or: lambda: vals[b] if order(vals[a]) <= order(vals[b]) else vals[a]}[kind]
+        if key not in self.ids:
+            self.ids[key] = node = len(records)
+            last = mask.bit_length() - 1
+            prev = (mask ^ 1 << last).bit_length() - 1 if mask else -1
+            vals.append(None)
+            records.append((last, prev, node, fn, {} if mask else None, mask))
+        return self.ids[key]
+
+    def falsified(self, k: int, at: Optional[tuple], values: list) -> bool:
+        """Move to the next item of :func:`_assignment_stream`: True iff the theory
+        holds and the goal does not.  As in a tree walk, the goal waits for the theory."""
+        vals, order, self.values[:] = self.vals, self.algebra._key, values
+        self._sweep(self.parts[0], k, at)
+        self.pending = min(self.pending, k)
+        if any(order(vals[r]) < self.unit for r in self.theory):
+            return False
+        self._sweep(self.parts[1], self.pending, at)
+        self.pending = len(values)
+        return order(vals[self.goal]) < self.unit
+
+    def _sweep(self, part: list, k: int, at: Optional[tuple]) -> None:
+        vals = self.vals
+        for last, prev, node, fn, table, _ in part[bisect.bisect_left(part, (k,)):]:
+            if table is None or at is None:
+                vals[node] = fn()
+                continue
+            if k <= prev:  # another of the node's variables changed
+                table.clear()
+            value = table.get(i := at[last])
+            vals[node] = table[i] = fn() if value is None else value
 
 
 def check_consequence(algebra: Algebra,
@@ -375,26 +458,21 @@ def check_consequence(algebra: Algebra,
     """Search for an assignment making the theory true and the goal false.
 
     Deterministic for a fixed seed and budget.  Returns None when the budget
-    is exhausted; that outcome does not certify validity.
+    is exhausted; that outcome does not certify validity.  It compiles the
+    formulas once (module docstring): shared nodes, ``a -> b`` as ``~(a * ~b)``,
+    ``~~a`` as ``a``, and at most ``len(window)`` tabled values per node.
     """
     if budget <= 0:
         raise PreconditionViolation("budget must be positive")
     theory = tuple(theory)
     names = sorted(set().union(variables(goal), *map(variables, theory)))
-    tried = 0
-    for assignment in _assignment_stream(algebra, names, seed):
+    plan = _Plan(algebra, names, theory, goal)
+    for tried, (k, at, values) in enumerate(_assignment_stream(algebra, names, seed)):
         if tried >= budget:
             return None
-        tried += 1
-        values = [_eval(algebra, phi, assignment) for phi in theory]
-        if not all(holds(algebra, v) for v in values):
-            continue
-        goal_value = _eval(algebra, goal, assignment)
-        if holds(algebra, goal_value):
-            continue
-        return Countermodel(algebra, dict(assignment), goal, goal_value,
-                            theory, tuple(values))
-    return None
+        if plan.falsified(k, at, values):
+            return Countermodel(algebra, dict(zip(names, values)), goal, plan.vals[plan.goal],
+                                theory, tuple(plan.vals[r] for r in plan.theory))
 
 
 def rendered(cm: Countermodel) -> Countermodel:

@@ -96,6 +96,13 @@ def test_membership_messages():
         q_chain().compare(q_chain().unit(), 1)
 
 
+def test_the_unit_of_q_is_one_shared_zero():
+    # The oddness gate compares t with neg t; with one zero, equal keys match by identity.
+    assert Q.unit() is q_chain().unit() is Q._neg(Q.unit())
+    assert Q._neg(Fraction(0)) == 0 and Q._neg(qelem(1, 2)) == qelem(-1, 2)
+    assert QZQ.unit().first is Q.unit()
+
+
 def test_messages_print_elements_as_literals(monkeypatch):
     with pytest.raises(MembershipError, match=r"^<1,2> is not an element of Z$"):
         Z.compare(zelem(0), zelem(1, 2))

@@ -1,7 +1,12 @@
+import inspect
+import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddlex import (
     BOT_BOUND,
@@ -9,9 +14,13 @@ from oddlex import (
     Countermodel,
     FormulaSyntaxError,
     PreconditionViolation,
+    RepresentationSpec,
     ShapeError,
     UnassignedVariable,
     adjoin_bounds,
+    build_representation,
+    build_standard_target,
+    chains,
     check_consequence,
     eval_formula,
     format_formula,
@@ -24,8 +33,10 @@ from oddlex import (
     z_chain,
     zelem,
 )
-from oddlex.logic import And, Const, Fuse, Imp, Neg, Or, Var, rendered, variables
-from oddlex.sampling import sample_elem
+from oddlex.logic import (And, Const, Fuse, Imp, Neg, Or, Var, _eval, iff, rendered,
+                          variables)
+from oddlex.sampling import sample_elem, window_elements
+from oddlex.towers import MODE_I_II, MODE_III_IV
 from conftest import rng
 
 BZ = adjoin_bounds(z_chain())
@@ -284,3 +295,154 @@ def test_validate_rejects_a_rendering_off_the_unit_interval(place):
     moved = {e: place(i, len(order)) for i, e in enumerate(order)}
     with pytest.raises(ShapeError, match="rendering sends"):
         replace(cm, rendering=moved).validate()
+
+
+# -- the compiled search against the per-assignment tree walk ----------------------
+
+def reference_search(algebra, theory, goal, budget, seed):
+    """The search as a tree walk per assignment: the systematic sweep of the
+    window in ``itertools.product`` order, then seeded random draws."""
+    names = sorted(set().union(variables(goal), *map(variables, theory)))
+
+    def stream():
+        window = window_elements(algebra, radius=3, cap=60)
+        for combo in product(window, repeat=len(names)):
+            yield dict(zip(names, combo))
+        draws = random.Random(seed)
+        while True:
+            yield {name: sample_elem(algebra, draws) for name in names}
+
+    for tried, assignment in enumerate(stream()):
+        if tried >= budget:
+            return None
+        values = [_eval(algebra, phi, assignment) for phi in theory]
+        if not all(holds(algebra, v) for v in values):
+            continue
+        goal_value = _eval(algebra, goal, assignment)
+        if not holds(algebra, goal_value):
+            return assignment, goal_value, tuple(values)
+
+
+def _spec_top(doc, mode):
+    return build_representation(RepresentationSpec.from_json(doc), mode).top
+
+
+SEARCH_ALGEBRAS = {name: adjoin_bounds(A) for name, A in {
+    "Z": z_chain(),
+    "Z^2": z_chain(2),
+    "readme": _spec_top({"ranks": [1, 1, 1], "iota": ["III", "IV"],
+                         "zdescs": [["*"], ["2", "*"]], "vdescs": [["2"], ["2", "3"]]},
+                        MODE_I_II),
+    "iii-iv-4": _spec_top({"ranks": [1] * 4, "iota": ["III", "IV", "III"]}, MODE_III_IV),
+    "q12-std": build_standard_target(
+        RepresentationSpec.from_json({"ranks": [1, 2], "iota": ["III"]})).top,
+}.items()}
+WINDOW_SIZES = {name: len(window_elements(A, radius=3, cap=60))
+                for name, A in SEARCH_ALGEBRAS.items()}
+
+
+def assert_same_search(algebra, theory, goal, budget, seed=7):
+    expected = reference_search(algebra, theory, goal, budget, seed)
+    cm = check_consequence(algebra, theory, goal, budget=budget, seed=seed)
+    if expected is None:
+        assert cm is None
+    else:
+        assert cm is not None
+        assert (cm.assignment, cm.goal_value, cm.theory_values) == expected
+        cm.validate()
+
+
+@st.composite
+def formula_trees(draw, depth=4):
+    """Formulas over p, q, r of surface depth <= ``depth``, with constants and
+    ``<->``, that often reuse a subterm drawn earlier in the same formula."""
+    pool = []  # (depth, formula) of each subterm drawn so far
+
+    def build(d):
+        reusable = [f for fd, f in pool if fd <= d]
+        kind = draw(st.sampled_from(("leaf", "reuse", "neg", "binary", "binary")
+                                    if d else ("leaf", "reuse")))
+        if kind == "reuse" and reusable:
+            return draw(st.sampled_from(reusable))
+        if kind == "neg":
+            f, fd = Neg(build(d - 1)), d
+        elif kind == "binary":
+            op = draw(st.sampled_from((And, Or, Fuse, Imp, iff)))
+            f, fd = op(build(d - 1), build(d - 1)), d
+        else:
+            f, fd = draw(st.sampled_from([Var("p"), Var("q"), Var("r")] * 2 + [*Const])), 0
+        pool.append((fd, f))
+        return f
+
+    return build(depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compiled_search_matches_the_tree_walk(data):
+    name = data.draw(st.sampled_from(sorted(SEARCH_ALGEBRAS)), label="algebra")
+    A = SEARCH_ALGEBRAS[name]
+    goal = data.draw(formula_trees(), label="goal")
+    theory = data.draw(st.lists(formula_trees(depth=2), max_size=2), label="theory")
+    names = set().union(variables(goal), *map(variables, theory))
+    total = WINDOW_SIZES[name] ** len(names)
+    # below, at and past the end of the sweep (the random phase), within reason
+    budget = data.draw(st.sampled_from(sorted({1, min(total - 1, 150) or 1,
+                                               min(total, 150), min(total + 9, 160)})),
+                       label="budget")
+    assert_same_search(A, theory, goal, budget, seed=data.draw(st.integers(0, 99)))
+
+
+BOUNDARY_CASES = [  # (goal, theory): variable-free, one and two variables
+    ("t <-> f", ()),
+    ("top -> bot", ()),
+    ("~~(t * bot) | f", ("t",)),
+    ("p -> p", ()),
+    ("(p * p) -> p", ("~p",)),
+    ("~~p <-> p", ("p | ~p", "p -> p")),
+    ("(p -> q) | (q -> p)", ()),
+    ("(p * q) -> (p & q)", ("~q",)),
+    # the theory holds only at q = bot, so the goal's own node ~p misses moves of p
+    ("~p", ("q -> bot",)),
+]
+
+
+def _sweep_length(name, goal, theory):
+    return WINDOW_SIZES[name] ** len(set().union(variables(goal), *map(variables, theory)))
+
+
+@pytest.mark.parametrize("name,goal,theory", [
+    (name, goal, theory) for name in sorted(SEARCH_ALGEBRAS) for goal, theory in BOUNDARY_CASES
+    # the per-assignment reference is slow, so only sweeps of at most 100
+    if _sweep_length(name, parse_formula(goal), [parse_formula(t) for t in theory]) <= 100])
+def test_compiled_search_matches_the_tree_walk_at_the_sweep_boundary(name, goal, theory):
+    A, goal = SEARCH_ALGEBRAS[name], parse_formula(goal)
+    theory = [parse_formula(phi) for phi in theory]
+    total = _sweep_length(name, goal, theory)
+    for budget in (max(total - 1, 1), total, total + 6):
+        assert_same_search(A, theory, goal, budget)
+
+
+def test_a_bound_constant_fails_as_in_the_tree_walk():
+    # At the first assignment every variable is the unit, so the theory holds
+    # and the goal, with its bound, is evaluated at once.
+    with pytest.raises(PreconditionViolation):
+        check_consequence(z_chain(), [parse_formula("p")], parse_formula("q -> top"))
+
+
+def test_lowering_preconditions_hold():
+    """``a -> b`` is compiled as ``~(a * ~b)`` and ``~~a`` as ``a``: valid only
+    while no algebra overrides the one residuum and negation is an involution."""
+    classes = {cls for _, cls in inspect.getmembers(chains, inspect.isclass)
+               if issubclass(cls, chains.Algebra)}
+    todo = list(chains.Algebra.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        classes.add(cls)
+        todo.extend(cls.__subclasses__())
+    assert len(classes) >= 6
+    for cls in classes - {chains.Algebra}:
+        assert "_residuum" not in vars(cls), cls
+    for name, A in SEARCH_ALGEBRAS.items():
+        for a in window_elements(A, radius=3, cap=60):
+            assert A._neg(A._neg(a)) == a, (name, a)
