@@ -12,10 +12,14 @@ nothing.  It compiles the theory and the goal once: equal subterms are one
 node, ``a -> b`` is ``~(a * ~b)`` (``Algebra._residuum``, the one definition)
 and ``~~a`` is ``a`` (negation is an involution on every constructible chain).
 Each move recomputes only the nodes whose last variable (in name order) is at
-or after the first that changed; in the systematic sweep a node also keeps at
-most ``len(window)`` values, by the window index of its last variable, until
-another of its variables changes.  The assignments tried and their order are
-unchanged; ``Countermodel.validate`` re-checks a find with ``_eval``.
+or after the first that changed.  Node values are small ids, interned by order
+key (equal keys mean equal elements): each element is keyed once, ``~`` is
+memoized per id and ``*`` per unordered pair of ids, and meets, joins and truth
+tests compare the stored keys.  The window is interned once per position; a
+random draw changes every value, so the tables restart from the unit and the
+draw is evaluated afresh.  All tables live for one search.  The assignments
+tried and their order are unchanged; ``Countermodel.validate`` re-checks a find
+with ``_eval``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
@@ -385,13 +388,42 @@ def _assignment_stream(algebra: Algebra, names: Sequence[str], seed: int,
 
 class _Plan:
     """The theory's nodes, then the goal's own (module docstring).  A node's record
-    ``(last, prev, node, fn, table, mask)`` holds the positions of its last two variables
-    (-1: none), its slot in ``vals``, its value from its children's, its table and mask."""
+    ``(last, node, fn, mask)`` holds the position of its last variable (-1: none), its
+    slot in ``vals``, its value id from its children's, and its variables.  Id ``i`` is
+    ``elems[i]`` with key ``keys[i]`` (``index`` inverts it; the unit is 0), ``negs`` and
+    ``prods`` memoize ``~`` and ``*``, and ``at`` holds the window positions' ids."""
 
     def __init__(self, algebra: Algebra, names: Sequence[str],
                  theory: Sequence[Formula], goal: Formula):
-        self.algebra, self.names, self.unit = algebra, names, algebra._key(algebra.unit())
-        self.ids, self.vals, self.records, self.values = {}, [], [], []
+        self.algebra, self.names = algebra, names
+        self.elems, self.keys, self.index, self.negs, self.prods, self.at = [], [], {}, {}, {}, {}
+        elems, keys, index, negs, prods = self.elems, self.keys, self.index, self.negs, self.prods
+
+        def intern(e: Elem) -> int:  # equal keys mean equal elements (chains docstring)
+            i = index.setdefault(key := algebra._key(e), len(keys))
+            if i == len(keys):
+                elems.append(e)
+                keys.append(key)
+            return i
+
+        def neg(i: int) -> int:  # an involution: one negation memoizes both ways
+            j = negs.get(i)
+            if j is None:
+                j = negs[i] = intern(algebra._neg(elems[i]))
+                negs[j] = i
+            return j
+
+        def mult(i: int, j: int) -> int:  # * is commutative: one entry per unordered pair
+            pair = (i, j) if i <= j else (j, i)
+            r = prods.get(pair)
+            if r is None:
+                r = prods[pair] = intern(algebra._mult(elems[i], elems[j]))
+            return r
+
+        self.intern, self.neg, self.mult = intern, neg, mult  # no cycle through self
+        self.unit = keys[intern(algebra.unit())]
+        self.nodes, self.vals, self.records = {}, [], []
+        self.values = [None] * len(names)  # the variables' ids
         self.theory = [self._lower(phi) for phi in theory]
         split = len(self.records)
         self.goal = self._lower(goal)
@@ -401,53 +433,56 @@ class _Plan:
     def _lower(self, f: Formula, negated: bool = False) -> int:  # the node of f, or of ~f
         if isinstance(f, Neg):
             return self._lower(f.operand, not negated)
-        A, vals, records, values = self.algebra, self.vals, self.records, self.values
-        neg, mult, order = A._neg, A._mult, A._key
+        vals, keys, values, records = self.vals, self.keys, self.values, self.records
+        A, neg, mult, intern = self.algebra, self.neg, self.mult, self.intern
         if negated != isinstance(f, Imp):  # ~f, where a -> b is ~(a * ~b)
             a = self._lower(f, not negated)
-            key, mask, fn = (Neg, a), records[a][5], lambda: neg(vals[a])
+            key, mask, fn = (Neg, a), records[a][3], lambda: neg(vals[a])
         elif isinstance(f, Var):
             i = self.names.index(f.name)
             key, mask, fn = f, 1 << i, lambda: values[i]  # no cycle through self
         elif isinstance(f, Const):
-            key, mask, fn = f, 0, partial(_constant, A, f)
+            key, mask, fn = f, 0, lambda: intern(_constant(A, f))
         else:  # negated here only for an implication, lowered to a * ~b
             kind = Fuse if negated else type(f)
             a, b = self._lower(f.left), self._lower(f.right, negated)
-            key, mask = (kind, a, b), records[a][5] | records[b][5]
+            key, mask = (kind, a, b), records[a][3] | records[b][3]
             fn = {Fuse: lambda: mult(vals[a], vals[b]),
-                  And: lambda: vals[a] if order(vals[a]) <= order(vals[b]) else vals[b],
-                  Or: lambda: vals[b] if order(vals[a]) <= order(vals[b]) else vals[a]}[kind]
-        if key not in self.ids:
-            self.ids[key] = node = len(records)
-            last = mask.bit_length() - 1
-            prev = (mask ^ 1 << last).bit_length() - 1 if mask else -1
+                  And: lambda: vals[a] if keys[vals[a]] <= keys[vals[b]] else vals[b],
+                  Or: lambda: vals[b] if keys[vals[a]] <= keys[vals[b]] else vals[a]}[kind]
+        if key not in self.nodes:
+            self.nodes[key] = node = len(records)
             vals.append(None)
-            records.append((last, prev, node, fn, {} if mask else None, mask))
-        return self.ids[key]
+            records.append((mask.bit_length() - 1, node, fn, mask))
+        return self.nodes[key]
 
     def falsified(self, k: int, at: Optional[tuple], values: list) -> bool:
         """Move to the next item of :func:`_assignment_stream`: True iff the theory
         holds and the goal does not.  As in a tree walk, the goal waits for the theory."""
-        vals, order, self.values[:] = self.vals, self.algebra._key, values
-        self._sweep(self.parts[0], k, at)
-        self.pending = min(self.pending, k)
-        if any(order(vals[r]) < self.unit for r in self.theory):
-            return False
-        self._sweep(self.parts[1], self.pending, at)
-        self.pending = len(values)
-        return order(vals[self.goal]) < self.unit
-
-    def _sweep(self, part: list, k: int, at: Optional[tuple]) -> None:
-        vals = self.vals
-        for last, prev, node, fn, table, _ in part[bisect.bisect_left(part, (k,)):]:
-            if table is None or at is None:
-                vals[node] = fn()
-                continue
-            if k <= prev:  # another of the node's variables changed
+        ids, vals, keys = self.values, self.vals, self.keys
+        if at is None:  # a draw changes every value: keep only the unit, sweep from -1
+            del self.elems[1:], keys[1:]
+            for table in (self.index, self.negs, self.prods, self.at):
                 table.clear()
-            value = table.get(i := at[last])
-            vals[node] = table[i] = fn() if value is None else value
+            self.index[self.unit], k = 0, -1
+            ids[:] = map(self.intern, values)
+        else:  # the window is interned once per position
+            for i in range(max(k, 0), len(values)):
+                if at[i] not in self.at:
+                    self.at[at[i]] = self.intern(values[i])
+                ids[i] = self.at[at[i]]
+        self._sweep(self.parts[0], k)
+        self.pending = min(self.pending, k)
+        if any(keys[vals[r]] < self.unit for r in self.theory):
+            return False
+        self._sweep(self.parts[1], self.pending)
+        self.pending = len(values)
+        return keys[vals[self.goal]] < self.unit
+
+    def _sweep(self, part: list, k: int) -> None:
+        vals = self.vals
+        for _, node, fn, _ in part[bisect.bisect_left(part, (k,)):]:
+            vals[node] = fn()
 
 
 def check_consequence(algebra: Algebra,
@@ -460,7 +495,7 @@ def check_consequence(algebra: Algebra,
     Deterministic for a fixed seed and budget.  Returns None when the budget
     is exhausted; that outcome does not certify validity.  It compiles the
     formulas once (module docstring): shared nodes, ``a -> b`` as ``~(a * ~b)``,
-    ``~~a`` as ``a``, and at most ``len(window)`` tabled values per node.
+    ``~~a`` as ``a``, and values interned by key with ``~`` and ``*`` memoized.
     """
     if budget <= 0:
         raise PreconditionViolation("budget must be positive")
@@ -471,8 +506,9 @@ def check_consequence(algebra: Algebra,
         if tried >= budget:
             return None
         if plan.falsified(k, at, values):
-            return Countermodel(algebra, dict(zip(names, values)), goal, plan.vals[plan.goal],
-                                theory, tuple(plan.vals[r] for r in plan.theory))
+            elems, vals = plan.elems, plan.vals
+            return Countermodel(algebra, dict(zip(names, values)), goal, elems[vals[plan.goal]],
+                                theory, tuple(elems[vals[r]] for r in plan.theory))
 
 
 def rendered(cm: Countermodel) -> Countermodel:

@@ -2,7 +2,7 @@ import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +33,8 @@ from oddlex import (
     z_chain,
     zelem,
 )
-from oddlex.logic import (And, Const, Fuse, Imp, Neg, Or, Var, _eval, iff, rendered,
-                          variables)
+from oddlex.logic import (And, Const, Fuse, Imp, Neg, Or, Var, _assignment_stream, _eval,
+                          _Plan, iff, rendered, variables)
 from oddlex.sampling import sample_elem, window_elements
 from oddlex.towers import MODE_I_II, MODE_III_IV
 from conftest import rng
@@ -336,6 +336,9 @@ SEARCH_ALGEBRAS = {name: adjoin_bounds(A) for name, A in {
     "iii-iv-4": _spec_top({"ranks": [1] * 4, "iota": ["III", "IV", "III"]}, MODE_III_IV),
     "q12-std": build_standard_target(
         RepresentationSpec.from_json({"ranks": [1, 2], "iota": ["III"]})).top,
+    # the shape of perfbench's alt12-std, with Q coordinates at every level
+    "alt6-std": build_standard_target(RepresentationSpec.from_json(
+        {"ranks": [1] * 6, "iota": ["III", "IV", "III", "IV", "III"]})).top,
 }.items()}
 WINDOW_SIZES = {name: len(window_elements(A, radius=3, cap=60))
                 for name, A in SEARCH_ALGEBRAS.items()}
@@ -404,6 +407,8 @@ BOUNDARY_CASES = [  # (goal, theory): variable-free, one and two variables
     ("(p * q) -> (p & q)", ("~q",)),
     # the theory holds only at q = bot, so the goal's own node ~p misses moves of p
     ("~p", ("q -> bot",)),
+    # valid, with a constant each random draw must evaluate afresh (its tables start empty)
+    ("(p & bot) -> f", ()),
 ]
 
 
@@ -446,3 +451,36 @@ def test_lowering_preconditions_hold():
     for name, A in SEARCH_ALGEBRAS.items():
         for a in window_elements(A, radius=3, cap=60):
             assert A._neg(A._neg(a)) == a, (name, a)
+
+
+def test_memo_preconditions_hold():
+    """The search interns values by order key and memoizes ``*`` on unordered pairs:
+    valid only while distinct elements have distinct keys and ``*`` is commutative."""
+    for name, A in SEARCH_ALGEBRAS.items():
+        window = window_elements(A, radius=3, cap=60)
+        assert len({A._key(a) for a in window}) == len(set(window)), name
+        for a, b in product(window, repeat=2):
+            assert A._mult(a, b) == A._mult(b, a), (name, a, b)
+
+
+def test_random_draws_keep_no_values_of_earlier_draws():
+    A, names = SEARCH_ALGEBRAS["q12-std"], ["p"]
+    goal = parse_formula("((p & ~p) * t) -> (p | ~p)")  # valid: the search never stops
+    plan = _Plan(A, names, [], goal)
+    stream = _assignment_stream(A, names, seed=3)
+    for k, at, values in islice(stream, WINDOW_SIZES["q12-std"] + 2000):
+        assert not plan.falsified(k, at, values)
+    # the unit, and the last draw's values of the subterms and their negations
+    # (a -> b is evaluated as ~(a * ~b)); the constant t is one of them
+    assert at is None and plan.elems[plan.values[0]] == values[0]
+    last = [_eval(A, f, {"p": values[0]}) for f in _subterms(goal)]
+    assert set(plan.keys) <= {A._key(e) for e in [A.unit(), *last, *map(A._neg, last)]}
+    assert len(plan.keys) == len(set(plan.keys)) == len(plan.index)
+
+
+def _subterms(f):
+    if isinstance(f, (Var, Const)):
+        return [f]
+    if isinstance(f, Neg):
+        return [f, *_subterms(f.operand)]
+    return [f, *_subterms(f.left), *_subterms(f.right)]
