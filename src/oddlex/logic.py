@@ -11,15 +11,15 @@ every member of ``T`` at or above the unit and ``phi`` strictly below it.
 nothing.  It compiles the theory and the goal once: equal subterms are one
 node, ``a -> b`` is ``~(a * ~b)`` (``Algebra._residuum``, the one definition)
 and ``~~a`` is ``a`` (negation is an involution on every constructible chain).
-Each move recomputes only the nodes whose last variable (in name order) is at
-or after the first that changed.  Node values are small ids, interned by order
-key (equal keys mean equal elements): each element is keyed once, ``~`` is
+Each move evaluates the theory's nodes, then, if the theory holds, the goal's
+own, in creation order.  Node values are small ids, interned by order key
+(equal keys mean equal elements): each element is keyed once, ``~`` is
 memoized per id and ``*`` per unordered pair of ids, and meets, joins and truth
-tests compare the stored keys.  The window is interned once per position; a
-random draw changes every value, so the tables restart from the unit and the
-draw is evaluated afresh.  All tables live for one search.  The assignments
-tried and their order are unchanged; ``Countermodel.validate`` re-checks a find
-with ``_eval``.
+tests compare the stored keys, so a ``~`` or ``*`` node whose operands did not
+move costs one lookup.  The window is interned once per position; a random draw
+changes every value, so the tables restart from the unit.  All tables live for
+one search.  The assignments tried and their order are those of a tree walk;
+``Countermodel.validate`` re-checks a find with ``_eval``.
 """
 
 from __future__ import annotations
@@ -373,25 +373,22 @@ def _assignment_stream(algebra: Algebra, names: Sequence[str], seed: int,
                        radius: int = 3, window_cap: int = 60):
     """Systematic sweep of small elements, then seeded random draws, forever.
 
-    Yields ``(k, at, values)``: the values of ``names``, the position ``k`` of
-    the first that changed (-1 at the start), and their window indices ``at``
-    (None for a random draw, which changes every value)."""
+    Yields ``(at, values)``: the values of ``names`` and their window indices
+    ``at`` (None for a random draw)."""
     window = window_elements(algebra, radius=radius, cap=window_cap)
-    k = -1
     for at in product(range(len(window)), repeat=len(names)):
-        yield k, at, [window[j] for j in at]
-        k = max((i for i, j in enumerate(at) if j + 1 < len(window)), default=0)
+        yield at, [window[j] for j in at]
     rng = random.Random(seed)
     while True:
-        yield 0, None, [sample_elem(algebra, rng) for _ in names]
+        yield None, [sample_elem(algebra, rng) for _ in names]
 
 
 class _Plan:
-    """The theory's nodes, then the goal's own (module docstring).  A node's record
-    ``(last, node, fn, mask)`` holds the position of its last variable (-1: none), its
-    slot in ``vals``, its value id from its children's, and its variables.  Id ``i`` is
-    ``elems[i]`` with key ``keys[i]`` (``index`` inverts it; the unit is 0), ``negs`` and
-    ``prods`` memoize ``~`` and ``*``, and ``at`` holds the window positions' ids."""
+    """The theory's nodes, then the goal's own, each evaluated in creation order (which
+    is topological) on every move (module docstring).  ``steps`` pairs each node's slot
+    in ``vals`` with its value id from its children's.  Id ``i`` is ``elems[i]`` with key
+    ``keys[i]`` (``index`` inverts it; the unit is 0), ``negs`` and ``prods`` memoize
+    ``~`` and ``*``, and ``at`` holds the window positions' ids."""
 
     def __init__(self, algebra: Algebra, names: Sequence[str],
                  theory: Sequence[Formula], goal: Formula):
@@ -422,67 +419,65 @@ class _Plan:
 
         self.intern, self.neg, self.mult = intern, neg, mult  # no cycle through self
         self.unit = keys[intern(algebra.unit())]
-        self.nodes, self.vals, self.records = {}, [], []
+        self.nodes, self.vals, self.fns = {}, [], []
         self.values = [None] * len(names)  # the variables' ids
         self.theory = [self._lower(phi) for phi in theory]
-        split = len(self.records)
+        split = len(self.fns)
         self.goal = self._lower(goal)
-        self.parts = [sorted(self.records[:split]), sorted(self.records[split:])]
-        self.pending = -1  # least k the goal part has missed since its last sweep
+        steps = list(enumerate(self.fns))
+        self.steps = steps[:split], steps[split:]
 
     def _lower(self, f: Formula, negated: bool = False) -> int:  # the node of f, or of ~f
         if isinstance(f, Neg):
             return self._lower(f.operand, not negated)
-        vals, keys, values, records = self.vals, self.keys, self.values, self.records
+        vals, keys, values = self.vals, self.keys, self.values
         A, neg, mult, intern = self.algebra, self.neg, self.mult, self.intern
         if negated != isinstance(f, Imp):  # ~f, where a -> b is ~(a * ~b)
             a = self._lower(f, not negated)
-            key, mask, fn = (Neg, a), records[a][3], lambda: neg(vals[a])
+            key, fn = (Neg, a), lambda: neg(vals[a])
         elif isinstance(f, Var):
             i = self.names.index(f.name)
-            key, mask, fn = f, 1 << i, lambda: values[i]  # no cycle through self
-        elif isinstance(f, Const):
-            key, mask, fn = f, 0, lambda: intern(_constant(A, f))
+            key, fn = f, lambda: values[i]  # no cycle through self
+        elif f is Const.T or f is Const.F:  # the unit, id 0 through every reset
+            key, fn = Const.T, lambda: 0
+        elif isinstance(f, Const):  # a bound, looked up when reached, so it fails as in _eval
+            key, fn = f, lambda: intern(_constant(A, f))
         else:  # negated here only for an implication, lowered to a * ~b
             kind = Fuse if negated else type(f)
             a, b = self._lower(f.left), self._lower(f.right, negated)
-            key, mask = (kind, a, b), records[a][3] | records[b][3]
+            key = (kind, a, b)
             fn = {Fuse: lambda: mult(vals[a], vals[b]),
                   And: lambda: vals[a] if keys[vals[a]] <= keys[vals[b]] else vals[b],
                   Or: lambda: vals[b] if keys[vals[a]] <= keys[vals[b]] else vals[a]}[kind]
         if key not in self.nodes:
-            self.nodes[key] = node = len(records)
+            self.nodes[key] = len(self.fns)
             vals.append(None)
-            records.append((mask.bit_length() - 1, node, fn, mask))
+            self.fns.append(fn)
         return self.nodes[key]
 
-    def falsified(self, k: int, at: Optional[tuple], values: list) -> bool:
+    def falsified(self, at: Optional[tuple], values: list) -> bool:
         """Move to the next item of :func:`_assignment_stream`: True iff the theory
         holds and the goal does not.  As in a tree walk, the goal waits for the theory."""
-        ids, vals, keys = self.values, self.vals, self.keys
-        if at is None:  # a draw changes every value: keep only the unit, sweep from -1
+        ids, vals, keys, table = self.values, self.vals, self.keys, self.at
+        if at is None:  # a draw changes every value: keep only the unit
             del self.elems[1:], keys[1:]
-            for table in (self.index, self.negs, self.prods, self.at):
-                table.clear()
-            self.index[self.unit], k = 0, -1
+            for memo in (self.index, self.negs, self.prods, table):
+                memo.clear()
+            self.index[self.unit] = 0
             ids[:] = map(self.intern, values)
         else:  # the window is interned once per position
-            for i in range(max(k, 0), len(values)):
-                if at[i] not in self.at:
-                    self.at[at[i]] = self.intern(values[i])
-                ids[i] = self.at[at[i]]
-        self._sweep(self.parts[0], k)
-        self.pending = min(self.pending, k)
+            for i, j in enumerate(at):
+                if j not in table:
+                    table[j] = self.intern(values[i])
+                ids[i] = table[j]
+        theory_steps, goal_steps = self.steps
+        for node, fn in theory_steps:
+            vals[node] = fn()
         if any(keys[vals[r]] < self.unit for r in self.theory):
             return False
-        self._sweep(self.parts[1], self.pending)
-        self.pending = len(values)
-        return keys[vals[self.goal]] < self.unit
-
-    def _sweep(self, part: list, k: int) -> None:
-        vals = self.vals
-        for _, node, fn, _ in part[bisect.bisect_left(part, (k,)):]:
+        for node, fn in goal_steps:
             vals[node] = fn()
+        return keys[vals[self.goal]] < self.unit
 
 
 def check_consequence(algebra: Algebra,
@@ -502,10 +497,10 @@ def check_consequence(algebra: Algebra,
     theory = tuple(theory)
     names = sorted(set().union(variables(goal), *map(variables, theory)))
     plan = _Plan(algebra, names, theory, goal)
-    for tried, (k, at, values) in enumerate(_assignment_stream(algebra, names, seed)):
+    for tried, (at, values) in enumerate(_assignment_stream(algebra, names, seed)):
         if tried >= budget:
             return None
-        if plan.falsified(k, at, values):
+        if plan.falsified(at, values):
             elems, vals = plan.elems, plan.vals
             return Countermodel(algebra, dict(zip(names, values)), goal, elems[vals[plan.goal]],
                                 theory, tuple(elems[vals[r]] for r in plan.theory))

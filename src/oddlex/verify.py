@@ -238,24 +238,30 @@ def density_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pr
 # Tower-level suites
 
 
+def _preserves(rec: _Recorder, src: Algebra, dst: Algebra, f, rng: random.Random,
+               samples: int, faithful=lambda a, b, fa, fb: True) -> PropertyCheck:
+    """Tally ``samples`` draws of ``a``, ``b`` from ``src``: the map ``f`` into ``dst`` is
+    ``faithful`` on them, and it preserves the order, ``*`` and ``neg``."""
+    for _ in range(samples):
+        a = sample_elem(src, rng)
+        b = sample_elem(src, rng)
+        fa, fb = f(a), f(b)
+        ok = faithful(a, b, fa, fb) and src._compare(a, b) == dst._compare(fa, fb)
+        ok = ok and f(src._mult(a, b)) == dst._mult(fa, fb)
+        ok = ok and f(src._neg(a)) == dst._neg(fa)
+        rec.tally(ok, "a={} b={}", a, b)
+    return rec.check
+
+
 def inclusion_suite(spec: RepresentationSpec, rng: random.Random,
                     samples: int) -> list[PropertyCheck]:
     """Stage-wise: the III-IV tower sits inside the I-II tower, operations agree."""
     narrow = build_representation(spec, MODE_III_IV)
     wide = build_representation(spec, MODE_I_II)
-    checks = []
-    for idx, (sub, sup) in enumerate(zip(narrow.stages, wide.stages), start=1):
-        rec = _Recorder(f"stage {idx}: carrier inclusion and operation agreement")
-        for _ in range(samples):
-            a = sample_elem(sub, rng)
-            b = sample_elem(sub, rng)
-            ok = sup.contains(a) and sup.contains(b)
-            ok = ok and sub._mult(a, b) == sup._mult(a, b)
-            ok = ok and sub._neg(a) == sup._neg(a)
-            ok = ok and sub._compare(a, b) == sup._compare(a, b)
-            rec.tally(ok, "a={} b={}", a, b)
-        checks.append(rec.check)
-    return checks
+    return [_preserves(_Recorder(f"stage {idx}: carrier inclusion and operation agreement"),
+                       sub, sup, lambda e: e, rng, samples,
+                       lambda a, b, fa, fb: sup.contains(a) and sup.contains(b))
+            for idx, (sub, sup) in enumerate(zip(narrow.stages, wide.stages), start=1)]
 
 
 def embedding_suite(target: StandardTarget, rng: random.Random,
@@ -266,15 +272,7 @@ def embedding_suite(target: StandardTarget, rng: random.Random,
     for idx, (src, dst) in enumerate(zip(target.source.stages, target.stages), start=1):
         rec = _Recorder(f"stage {idx}: embedding preserves *, neg, order, unit")
         rec.tally(target.embed(idx, src.unit()) == dst.unit(), "unit")
-        for _ in range(samples):
-            a = sample_elem(src, rng)
-            b = sample_elem(src, rng)
-            fa, fb = target.embed(idx, a), target.embed(idx, b)
-            ok = target.embed(idx, src._mult(a, b)) == dst._mult(fa, fb)
-            ok = ok and target.embed(idx, src._neg(a)) == dst._neg(fa)
-            ok = ok and src._compare(a, b) == dst._compare(fa, fb)
-            rec.tally(ok, "a={} b={}", a, b)
-        checks.append(rec.check)
+        checks.append(_preserves(rec, src, dst, lambda e: target.embed(idx, e), rng, samples))
     return checks
 
 
@@ -284,35 +282,20 @@ def iso_suite(rng: random.Random, samples: int,
     checks = []
     for j, k in zjk_pairs:
         rec = _Recorder(f"PLPII(Z_{j}, Z_{k}) = Z_{j + k}: order, *, neg, bijection")
-        product = build_plp("II", make_zj(j), second=make_zj(k))
         flat = make_zj(j + k)
-        for _ in range(samples):
-            a = sample_elem(product, rng)
-            b = sample_elem(product, rng)
-            fa, fb = zjk_iso(j, k, a), zjk_iso(j, k, b)
-            ok = flat.contains(fa) and zjk_iso_inverse(j, k, fa) == a
-            ok = ok and product._compare(a, b) == flat._compare(fa, fb)
-            ok = ok and zjk_iso(j, k, product._mult(a, b)) == flat._mult(fa, fb)
-            ok = ok and zjk_iso(j, k, product._neg(a)) == flat._neg(fa)
-            ok = ok and (a == b) == (fa == fb)
-            rec.tally(ok, "a={} b={}", a, b)
-        checks.append(rec.check)
+        checks.append(_preserves(
+            rec, build_plp("II", make_zj(j), second=make_zj(k)), flat,
+            lambda e: zjk_iso(j, k, e), rng, samples,
+            lambda a, b, fa, fb: (flat.contains(fa) and zjk_iso_inverse(j, k, fa) == a
+                                  and (a == b) == (fa == fb))))
     for triple in ((z_chain(), z_chain(), z_chain()),
                    (z_chain(), z_chain(), q_chain())):
         names = ", ".join(str(x) for x in triple)
         rec = _Recorder(f"type II re-association over ({names})")
         fusion = fuse_type2_iso(*triple)
         rec.tally(fusion.to_right(fusion.left.unit()) == fusion.right.unit(), "unit")
-        for _ in range(samples):
-            a = sample_elem(fusion.left, rng)
-            b = sample_elem(fusion.left, rng)
-            fa, fb = fusion.to_right(a), fusion.to_right(b)
-            ok = fusion.to_left(fa) == a
-            ok = ok and fusion.left._compare(a, b) == fusion.right._compare(fa, fb)
-            ok = ok and fusion.to_right(fusion.left._mult(a, b)) == fusion.right._mult(fa, fb)
-            ok = ok and fusion.to_right(fusion.left._neg(a)) == fusion.right._neg(fa)
-            rec.tally(ok, "a={} b={}", a, b)
-        checks.append(rec.check)
+        checks.append(_preserves(rec, fusion.left, fusion.right, fusion.to_right, rng, samples,
+                                 lambda a, b, fa, fb: fusion.to_left(fa) == a))
     return checks
 
 

@@ -405,7 +405,7 @@ BOUNDARY_CASES = [  # (goal, theory): variable-free, one and two variables
     ("~~p <-> p", ("p | ~p", "p -> p")),
     ("(p -> q) | (q -> p)", ()),
     ("(p * q) -> (p & q)", ("~q",)),
-    # the theory holds only at q = bot, so the goal's own node ~p misses moves of p
+    # the theory holds only at q = bot: the goal is evaluated only once the theory holds
     ("~p", ("q -> bot",)),
     # valid, with a constant each random draw must evaluate afresh (its tables start empty)
     ("(p & bot) -> f", ()),
@@ -468,14 +468,28 @@ def test_random_draws_keep_no_values_of_earlier_draws():
     goal = parse_formula("((p & ~p) * t) -> (p | ~p)")  # valid: the search never stops
     plan = _Plan(A, names, [], goal)
     stream = _assignment_stream(A, names, seed=3)
-    for k, at, values in islice(stream, WINDOW_SIZES["q12-std"] + 2000):
-        assert not plan.falsified(k, at, values)
+    for at, values in islice(stream, WINDOW_SIZES["q12-std"] + 2000):
+        assert not plan.falsified(at, values)
     # the unit, and the last draw's values of the subterms and their negations
     # (a -> b is evaluated as ~(a * ~b)); the constant t is one of them
     assert at is None and plan.elems[plan.values[0]] == values[0]
     last = [_eval(A, f, {"p": values[0]}) for f in _subterms(goal)]
     assert set(plan.keys) <= {A._key(e) for e in [A.unit(), *last, *map(A._neg, last)]}
     assert len(plan.keys) == len(set(plan.keys)) == len(plan.index)
+
+
+def test_the_sweep_keys_each_window_position_once(monkeypatch):
+    A, names = SEARCH_ALGEBRAS["readme"], ["p", "q"]
+    goal = parse_formula("(p | ~p) & (q | ~q)")  # valid
+    calls = []
+    key = chains.Algebra._key
+    monkeypatch.setattr(chains.Algebra, "_key", lambda self, e: calls.append(e) or key(self, e))
+    plan = _Plan(A, names, [], goal)
+    window = WINDOW_SIZES["readme"]
+    for at, values in islice(_assignment_stream(A, names, seed=0), window ** len(names)):
+        assert at is not None and not plan.falsified(at, values)
+    # 2 * 60^2 keys if every move interned its variables' values afresh
+    assert len(calls) <= window + len(plan.keys)
 
 
 def _subterms(f):
