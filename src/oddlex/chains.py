@@ -11,7 +11,8 @@ unit-preserving tau map).  Three shapes exist:
   :class:`BaseAlgebra`; their elements are the group's canonical values (an
   int tuple, a ``Fraction``, ``()``);
 * :class:`PlpAlgebra` -- a type I/II/III/IV partial lexicographic product of a
-  chain and a second chain, with top/bottom fiber markers;
+  chain and a second chain; its second components live in the fiber
+  ``adjoin_bounds(second)``, whose bounds are the top/bottom markers ``T``/``B``;
 * :class:`BoundedAlgebra` -- a chain with two global bounds adjoined, the top
   added first as an annihilator and the bottom added second (so the bottom
   dominates the top under multiplication).
@@ -36,10 +37,10 @@ draw (``_draw`` inside a descriptor entry: ``*``, ``0`` or the multiples of
 
 The order is one flat key per element, :meth:`Algebra._key`, compared natively
 by :meth:`Algebra._compare` and by every sort: a base-chain element ``v`` has
-``(v,)``; ``(x, B)``, ``(x, y)``, ``(x, T)`` have ``key(x)`` followed by
-``0``, ``1, *key(y)``, ``2``; the bounds give ``(0,)``, ``(1, *key)``,
-``(2,)``.  No key is a proper prefix of another, so equal keys mean equal
-elements.
+``(v,)``; the bounds give ``(0,)``, ``(1, *key)``, ``(2,)``; a pair ``(x, s)``
+has ``key(x)`` followed by the fiber's key of ``s``, so ``(x, B)``, ``(x, y)``,
+``(x, T)`` end in ``0``, ``1, *key(y)``, ``2``.  No key is a proper prefix of
+another, so equal keys mean equal elements.
 
 Each class owns its order witnesses: next to the covers ``_cover_up`` and
 ``_cover_down``, ``_below(e)``/``_above(e)`` give an element strictly below or
@@ -65,8 +66,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .elements import (BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Elem, Marker,
-                       Pair, Second, format_elem)
+from .elements import BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Elem, Pair, format_elem
 from .errors import MembershipError, PreconditionViolation, ShapeError, UndefinedCover
 from .groups import Entry, GroupValue, SubgroupDescriptor, _l1_shell
 
@@ -477,9 +477,11 @@ class PlpAlgebra(Algebra):
     * III: ``(V x (Y+{T,B})) | ((Z\\V) x {T,B}) | ((X\\Z) x {B})``
     * IV:  ``(X x {T}) | (V x Y)``
 
-    Multiplication is coordinatewise with the bottom marker dominating the
-    top marker; negation is first-componentwise with a fiber-marker swap for
-    type III and the cover shift on top-marked group elements for type IV.
+    A second component is an element of the fiber ``adjoin_bounds(second)``,
+    whose bounds are the markers ``T``/``B``.  Multiplication is coordinatewise,
+    in the fiber on the second component (so ``B`` dominates ``T``); negation
+    is first-componentwise, negating the second component in the fiber, with
+    the cover shift on top-marked group elements for type IV.
     """
 
     kind: PlpKind
@@ -528,8 +530,12 @@ class PlpAlgebra(Algebra):
 
     # -- order ---------------------------------------------------------------
 
+    @cached_property
+    def _fiber(self) -> "BoundedAlgebra":
+        return adjoin_bounds(self.second)
+
     def _key_into(self, e, add):
-        # Fiber order: bottom marker < any chain value < top marker.
+        # The fiber's key, BoundedAlgebra._key_into, inlined: this is the hottest op.
         self.first._key_into(e.first, add)
         s = e.second
         if s is BOT_MARKER:
@@ -542,17 +548,9 @@ class PlpAlgebra(Algebra):
 
     # -- operations -------------------------------------------------------------
 
-    def _mult_second(self, s1: Second, s2: Second) -> Second:
-        # The bottom marker was adjoined after the top, so it wins.
-        if s1 is BOT_MARKER or s2 is BOT_MARKER:
-            return BOT_MARKER
-        if s1 is TOP_MARKER or s2 is TOP_MARKER:
-            return TOP_MARKER
-        return self.second._mult(s1, s2)
-
     def _mult(self, a, b):
         return Pair(self.first._mult(a.first, b.first),
-                    self._mult_second(a.second, b.second))
+                    self._fiber._mult(a.second, b.second))
 
     def _neg_coords(self, a, out):
         # Type III tests x's coordinates in the caller's buffer, or a new one if
@@ -564,14 +562,12 @@ class PlpAlgebra(Algebra):
             nx, g = self.first._neg_coords(x, buf)
             if not g or buf is not None and not self._zrel.contains_coords(buf, start):
                 return Pair(nx, BOT_MARKER), False
-            if isinstance(s, Marker):
-                return Pair(nx, TOP_MARKER if s is BOT_MARKER else BOT_MARKER), False
         elif s is TOP_MARKER:  # type IV: carrier is (X x {T}) | (V x Y)
             nx, g = self.first._neg_coords(x, None)
             return Pair(self.first._cover_down(nx) if g else nx, TOP_MARKER), False
         else:
             nx, _ = self.first._neg_coords(x, out)
-        ns, g = self.second._neg_coords(s, out)
+        ns, g = self._fiber._neg_coords(s, out)
         return Pair(nx, ns), g
 
     def _cover_up(self, a):
@@ -591,11 +587,10 @@ class PlpAlgebra(Algebra):
         return self._on_free_marker(self.first._above(e.first))
 
     def _between(self, x, y):
-        first, second = self.first, self.second
         a, s = x.first, x.second
         b, u = y.first, y.second
-        if first._compare(a, b) < 0:
-            mid = first._between(a, b)
+        if self.first._compare(a, b) < 0:
+            mid = self.first._between(a, b)
             if mid is not None:
                 return self._on_free_marker(mid)
             # b covers a in the first component: squeeze into the boundary fibers
@@ -607,27 +602,20 @@ class PlpAlgebra(Algebra):
                 return None
             if s is not TOP_MARKER:
                 return Pair(a, TOP_MARKER)
-            if u is TOP_MARKER:
-                w = second.unit() if self._in_subgroup(self._vrel, b) else None
-            else:
-                w = second._below(u)
-            return None if w is None else Pair(b, w)
+            return self._between_in_fiber(b, BOT_MARKER, u)  # below u over b
+        return self._between_in_fiber(a, s, u)
 
-        # equal first components; compare second components within the fiber
-        if s is BOT_MARKER:
-            if not self._in_subgroup(self._vrel, a):
-                return None  # marker-only fiber
-            w = second.unit() if u is TOP_MARKER else second._below(u)
-        elif u is TOP_MARKER:
-            w = second._above(s)
-        else:
-            w = second._between(s, u)
+    def _between_in_fiber(self, a: Elem, s: Elem, u: Elem) -> Optional[Elem]:
+        """``(a, w)`` with ``s < w < u`` in the fiber over ``a``, or None."""
+        if s is BOT_MARKER and not self._in_subgroup(self._vrel, a):
+            return None  # marker-only fiber
+        w = self._fiber._between(s, u)
         return None if w is None else Pair(a, w)
 
     # -- group part ----------------------------------------------------------
 
     def _group_coords(self, e):
-        if not isinstance(e, Pair) or isinstance(e.second, Marker):
+        if not isinstance(e, Pair) or isinstance(e.second, Bound):
             return None
         cx = self.first._group_coords(e.first)
         if cx is None or not self._vrel.contains_coords(cx):

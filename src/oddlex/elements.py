@@ -2,9 +2,12 @@
 
 An element is a canonical group value of a base chain (an int tuple for
 ``Z^k``, a ``Fraction`` for ``Q``, ``()`` for the trivial group), a pair whose
-second component is either another element or one of the fiber markers
-``T``/``B`` (the top/bottom adjoined to the second factor of a product), or
-one of the two global bounds of a bound-adjoined algebra.
+second component is an element of the product's fiber (the second factor
+with bounds adjoined), or one of the two bounds of a bound-adjoined algebra.
+So one enum, :class:`Bound`, serves both: the fiber markers are the fiber's
+bounds (``Marker`` is an alias).  A bound prints ``T``/``B`` in a pair's
+second place and ``TOP``/``BOT`` anywhere else; products take no
+bound-adjoined operand, so a bound inside a pair is always a fiber marker.
 """
 
 from __future__ import annotations
@@ -17,15 +20,8 @@ from typing import Union
 from .groups import GroupValue
 
 
-class Marker(enum.Enum):
-    """Fiber-level top/bottom markers inside a product's second component."""
-
-    TOP = "T"
-    BOT = "B"
-
-
 class Bound(enum.Enum):
-    """Global extremes of a bound-adjoined algebra."""
+    """The extremes of a bound-adjoined algebra, and a product's fiber markers."""
 
     TOP = "TOP"
     BOT = "BOT"
@@ -34,19 +30,17 @@ class Bound(enum.Enum):
 @dataclass(frozen=True)
 class Pair:
     first: "Elem"
-    second: Union["Elem", Marker]
+    second: "Elem"
 
     def __str__(self) -> str:
         return format_elem(self)
 
 
 Elem = Union[GroupValue, Pair, Bound]
-Second = Union[Elem, Marker]
+Marker = Bound
 
-TOP_BOUND = Bound.TOP
-BOT_BOUND = Bound.BOT
-TOP_MARKER = Marker.TOP  # plain names: ``Marker.TOP`` is a slow enum lookup on hot paths
-BOT_MARKER = Marker.BOT
+TOP_BOUND = TOP_MARKER = Bound.TOP  # plain names: ``Bound.TOP`` is a slow enum lookup on hot paths
+BOT_BOUND = BOT_MARKER = Bound.BOT
 
 
 def format_group_value(v: GroupValue) -> str:
@@ -59,12 +53,12 @@ def format_group_value(v: GroupValue) -> str:
     raise TypeError(f"not a group value: {v!r}")
 
 
-def format_elem(e: Second) -> str:
+def format_elem(e: Elem) -> str:
     """Render an element in the literal grammar; inverse of ``parse_elem``."""
     if isinstance(e, Bound):
         return e.value
-    if isinstance(e, Marker):
-        return e.value
     if isinstance(e, Pair):
-        return f"({format_elem(e.first)}, {format_elem(e.second)})"
+        s = e.second  # a bound here is a fiber marker, spelled T/B
+        second = s.value[0] if isinstance(s, Bound) else format_elem(s)
+        return f"({format_elem(e.first)}, {second})"
     return format_group_value(e)

@@ -44,6 +44,10 @@ from .errors import (
 )
 from .sampling import sample_elem, window_elements
 
+# The countermodel search's systematic window: coordinates in [-3, 3], 60 elements.
+_WINDOW_RADIUS = 3
+_WINDOW_CAP = 60
+
 
 class Const(enum.Enum):
     T = "t"
@@ -369,13 +373,12 @@ class Countermodel:
         )
 
 
-def _assignment_stream(algebra: Algebra, names: Sequence[str], seed: int,
-                       radius: int = 3, window_cap: int = 60):
+def _assignment_stream(algebra: Algebra, names: Sequence[str], seed: int):
     """Systematic sweep of small elements, then seeded random draws, forever.
 
     Yields ``(at, values)``: the values of ``names`` and their window indices
     ``at`` (None for a random draw)."""
-    window = window_elements(algebra, radius=radius, cap=window_cap)
+    window = window_elements(algebra, radius=_WINDOW_RADIUS, cap=_WINDOW_CAP)
     for at in product(range(len(window)), repeat=len(names)):
         yield at, [window[j] for j in at]
     rng = random.Random(seed)

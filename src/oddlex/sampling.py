@@ -37,6 +37,11 @@ _MARKER_SIZE = 3
 # The weight of sample_elem's marker-on-Z clause, counted in tau values.
 _MARKER_WEIGHT = 0.25
 
+# The samplers' per-coordinate bound (see each base chain's ``_draw``), and how
+# many pairs sample_distinct_pair draws before it gives up.
+_MAGNITUDE = 8
+_TRIES = 64
+
 
 def window_elements(algebra: Algebra, radius: int = 3, cap: int = 4000) -> list[Elem]:
     """Up to ``cap`` elements with coordinates in [-radius, radius], smallest first.
@@ -102,26 +107,23 @@ def _candidate_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list
     return out
 
 
-def sample_group_elem(algebra: Algebra,
-                      desc: SubgroupDescriptor,
-                      rng: random.Random,
-                      magnitude: int = 8) -> Elem:
+def sample_group_elem(algebra: Algebra, desc: SubgroupDescriptor, rng: random.Random) -> Elem:
     """A random group-part element satisfying the descriptor."""
     entries = iter(desc.entries)
-    return algebra._build(lambda chain: chain._draw(rng, next(entries), magnitude))
+    return algebra._build(lambda chain: chain._draw(rng, next(entries), _MAGNITUDE))
 
 
-def sample_elem(algebra: Algebra, rng: random.Random, magnitude: int = 8) -> Elem:
+def sample_elem(algebra: Algebra, rng: random.Random) -> Elem:
     """A random carrier member; every carrier clause has positive probability."""
     if isinstance(algebra, BaseAlgebra):
-        return algebra._build(lambda chain: chain._draw(rng, None, magnitude))
+        return algebra._build(lambda chain: chain._draw(rng, None, _MAGNITUDE))
     if isinstance(algebra, BoundedAlgebra):
         roll = rng.random()
         if roll < 0.05:
             return BOT_BOUND
         if roll < 0.10:
             return TOP_BOUND
-        return sample_elem(algebra.inner, rng, magnitude)
+        return sample_elem(algebra.inner, rng)
     # Products.  Clause weights are counted in tau values: the (v, y) clause
     # alone lifts the second factor's c2 tau values, so it gets c2 of c1 + c2;
     # the marker-on-Z clause, whose tau values all lift the unit's, gets
@@ -131,22 +133,21 @@ def sample_elem(algebra: Algebra, rng: random.Random, magnitude: int = 8) -> Ele
     c1, c2 = first.idempotent_count, algebra.second.idempotent_count
     roll = rng.random() * (c1 + c2)
     if roll < c2:
-        return Pair(sample_group_elem(first, algebra.vdesc, rng, magnitude),
-                    sample_elem(algebra.second, rng, magnitude))
+        return Pair(sample_group_elem(first, algebra.vdesc, rng),
+                    sample_elem(algebra.second, rng))
     if not algebra.has_bot_marker:
-        return Pair(sample_elem(first, rng, magnitude), TOP_MARKER)
+        return Pair(sample_elem(first, rng), TOP_MARKER)
     if roll < c2 + _MARKER_WEIGHT:
-        return Pair(sample_group_elem(first, algebra.zdesc, rng, magnitude),
+        return Pair(sample_group_elem(first, algebra.zdesc, rng),
                     TOP_MARKER if rng.random() < 0.5 else BOT_MARKER)
-    return Pair(sample_elem(first, rng, magnitude), BOT_MARKER)
+    return Pair(sample_elem(first, rng), BOT_MARKER)
 
 
-def sample_distinct_pair(algebra: Algebra, rng: random.Random,
-                         magnitude: int = 8, tries: int = 64):
+def sample_distinct_pair(algebra: Algebra, rng: random.Random):
     """A pair (x, y) with x < y, or None if sampling keeps colliding."""
-    for _ in range(tries):
-        a = sample_elem(algebra, rng, magnitude)
-        b = sample_elem(algebra, rng, magnitude)
+    for _ in range(_TRIES):
+        a = sample_elem(algebra, rng)
+        b = sample_elem(algebra, rng)
         c = algebra._compare(a, b)
         if c < 0:
             return a, b

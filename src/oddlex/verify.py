@@ -33,14 +33,24 @@ from .towers import (
 @dataclass
 class PropertyCheck:
     name: str
-    samples: int
-    failures: int
+    samples: int = 0
+    failures: int = 0
     witnesses: list[str] = field(default_factory=list)
     info: str = ""
 
     @property
     def ok(self) -> bool:
         return self.failures == 0
+
+    def tally(self, ok: bool, witness: str = "", *elems: Elem) -> None:
+        """Count one sample.  A failure keeps up to five witnesses, each
+        ``witness`` with the literals of ``elems`` filled into its ``{}``
+        slots; nothing is formatted for a passing sample."""
+        self.samples += 1
+        if not ok:
+            self.failures += 1
+            if len(self.witnesses) < 5:
+                self.witnesses.append(witness.format(*map(format_elem, elems)))
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -63,57 +73,42 @@ def _rng(seed: int, *parts) -> random.Random:
     return random.Random(f"{seed}:" + ":".join(str(p) for p in parts))
 
 
-class _Recorder:
-    def __init__(self, name: str):
-        self.check = PropertyCheck(name, 0, 0)
-
-    def tally(self, ok: bool, witness: str = "", *elems: Elem) -> None:
-        """Count one sample.  A failure keeps up to five witnesses, each
-        ``witness`` with the literals of ``elems`` filled into its ``{}``
-        slots; nothing is formatted for a passing sample."""
-        self.check.samples += 1
-        if not ok:
-            self.check.failures += 1
-            if len(self.check.witnesses) < 5:
-                self.check.witnesses.append(witness.format(*map(format_elem, elems)))
-
-
 def adjointness_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    rec = _Recorder("adjointness: a*v <= b iff v <= a->b")
+    rec = PropertyCheck("adjointness: a*v <= b iff v <= a->b")
     unit = algebra.unit()
     for _ in range(samples):
         a, b, v = (sample_elem(algebra, rng) for _ in range(3))
         lhs = algebra._compare(algebra._mult(a, v), b) <= 0
         rhs = algebra._compare(v, algebra._residuum(a, b)) <= 0
         rec.tally(lhs == rhs, "a={} b={} v={}", a, b, v)
-    res = _Recorder("residuum is the maximum: a*(a->b) <= b and t <= a->a")
+    res = PropertyCheck("residuum is the maximum: a*(a->b) <= b and t <= a->a")
     for _ in range(samples // 10 + 1):
         a, b = sample_elem(algebra, rng), sample_elem(algebra, rng)
         r = algebra._residuum(a, b)
         ok = algebra._compare(algebra._mult(a, r), b) <= 0
         ok = ok and algebra._compare(unit, algebra._tau(a)) <= 0
         res.tally(ok, "a={} b={}", a, b)
-    return [rec.check, res.check]
+    return [rec, res]
 
 
 def involution_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    dneg = _Recorder("involution: neg(neg a) = a")
-    rev = _Recorder("negation reverses the order")
+    dneg = PropertyCheck("involution: neg(neg a) = a")
+    rev = PropertyCheck("negation reverses the order")
     for _ in range(samples):
         a, b = sample_elem(algebra, rng), sample_elem(algebra, rng)
         dneg.tally(algebra._neg(algebra._neg(a)) == a, "{}", a)
         rev.tally((algebra._compare(a, b) <= 0)
                   == (algebra._compare(algebra._neg(b), algebra._neg(a)) <= 0),
                   "a={} b={}", a, b)
-    odd = _Recorder("oddness: neg t = t")
+    odd = PropertyCheck("oddness: neg t = t")
     t = algebra.unit()
     odd.tally(algebra._neg(t) == t, "{}", t)
-    return [dneg.check, rev.check, odd.check]
+    return [dneg, rev, odd]
 
 
 def monoid_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    laws = _Recorder("commutative monoid laws")
-    mono = _Recorder("multiplication is monotone")
+    laws = PropertyCheck("commutative monoid laws")
+    mono = PropertyCheck("multiplication is monotone")
     unit = algebra.unit()
     for _ in range(samples):
         a, b, c = (sample_elem(algebra, rng) for _ in range(3))
@@ -124,7 +119,7 @@ def monoid_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pro
         if algebra._compare(a, b) <= 0:
             mono.tally(algebra._compare(algebra._mult(a, c), algebra._mult(b, c)) <= 0,
                        "a={} b={} c={}", a, b, c)
-    return [laws.check, mono.check]
+    return [laws, mono]
 
 
 def random_term(algebra: Algebra, rng: random.Random, leaves: list[Elem], depth: int):
@@ -145,7 +140,7 @@ def random_term(algebra: Algebra, rng: random.Random, leaves: list[Elem], depth:
 
 def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
     unit = algebra.unit()
-    idem = _Recorder("tau values are positive idempotents and tau-fixed")
+    idem = PropertyCheck("tau values are positive idempotents and tau-fixed")
     seen = set()
     for _ in range(samples):
         a = sample_elem(algebra, rng)
@@ -158,20 +153,20 @@ def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Proper
     count = PropertyCheck("distinct tau values match the structural count",
                           samples, 0 if len(seen) == algebra.idempotent_count else 1,
                           [], f"observed {len(seen)}, expected {algebra.idempotent_count}")
-    terms = _Recorder("tau of a term equals the largest leaf tau")
+    terms = PropertyCheck("tau of a term equals the largest leaf tau")
     pool = [sample_elem(algebra, rng) for _ in range(8)]
     for _ in range(max(samples // 10, 1)):
         value, used = random_term(algebra, rng, pool, depth=4)
         tv = algebra._tau(value)
         biggest = max((algebra._tau(u) for u in used), key=algebra._key)
         terms.tally(tv == biggest, "{}", value)
-    return [idem.check, count, terms.check]
+    return [idem, count, terms]
 
 
 def covers_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
     gdesc = algebra.group_part_descriptor
     if not algebra.grpart_discretely_embedded:
-        rec = _Recorder("covers are refused without a discrete embedding")
+        rec = PropertyCheck("covers are refused without a discrete embedding")
         for _ in range(min(samples, 50)):
             a = sample_group_elem(algebra, gdesc, rng)
             try:
@@ -179,8 +174,8 @@ def covers_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pro
                 rec.tally(False, "{}", a)
             except UndefinedCover:
                 rec.tally(True)
-        return [rec.check]
-    rec = _Recorder("covers: up/down inverse, inside the group part, adjacent")
+        return [rec]
+    rec = PropertyCheck("covers: up/down inverse, inside the group part, adjacent")
     for _ in range(samples):
         a = sample_group_elem(algebra, gdesc, rng)
         up = algebra.cover_up(a)
@@ -190,13 +185,13 @@ def covers_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pro
         probe = sample_elem(algebra, rng)
         ok = ok and not (algebra._compare(a, probe) < 0 and algebra._compare(probe, up) < 0)
         rec.tally(ok, "{}", a)
-    return [rec.check]
+    return [rec]
 
 
 def group_part_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
     gdesc = algebra.group_part_descriptor
-    closure = _Recorder("group part closed under * and neg")
-    agree = _Recorder("x * neg x = t agrees with the structural group part")
+    closure = PropertyCheck("group part closed under * and neg")
+    agree = PropertyCheck("x * neg x = t agrees with the structural group part")
     for _ in range(samples):
         g = sample_group_elem(algebra, gdesc, rng)
         h = sample_group_elem(algebra, gdesc, rng)
@@ -206,12 +201,12 @@ def group_part_suite(algebra: Algebra, rng: random.Random, samples: int) -> list
         a = sample_elem(algebra, rng)
         eq = algebra._mult(a, algebra._neg(a)) == algebra.unit()
         agree.tally(eq == (algebra._group_coords(a) is not None), "{}", a)
-    return [closure.check, agree.check]
+    return [closure, agree]
 
 
 def density_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
     if not algebra.is_dense:
-        rec = _Recorder("between is refused on a non-dense order")
+        rec = PropertyCheck("between is refused on a non-dense order")
         pair = sample_distinct_pair(algebra, rng)
         if pair is None:
             rec.tally(True)
@@ -221,8 +216,8 @@ def density_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pr
                 rec.tally(False, "{} .. {}", *pair)
             except NotDense:
                 rec.tally(True)
-        return [rec.check]
-    rec = _Recorder("between returns a strict intermediate")
+        return [rec]
+    rec = PropertyCheck("between returns a strict intermediate")
     for _ in range(samples):
         pair = sample_distinct_pair(algebra, rng)
         if pair is None:
@@ -231,14 +226,14 @@ def density_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pr
         z = between(algebra, x, y)
         rec.tally(algebra._compare(x, z) < 0 and algebra._compare(z, y) < 0,
                   "{} .. {} -> {}", x, y, z)
-    return [rec.check]
+    return [rec]
 
 
 # ---------------------------------------------------------------------------
 # Tower-level suites
 
 
-def _preserves(rec: _Recorder, src: Algebra, dst: Algebra, f, rng: random.Random,
+def _preserves(rec: PropertyCheck, src: Algebra, dst: Algebra, f, rng: random.Random,
                samples: int, faithful=lambda a, b, fa, fb: True) -> PropertyCheck:
     """Tally ``samples`` draws of ``a``, ``b`` from ``src``: the map ``f`` into ``dst`` is
     ``faithful`` on them, and it preserves the order, ``*`` and ``neg``."""
@@ -250,7 +245,7 @@ def _preserves(rec: _Recorder, src: Algebra, dst: Algebra, f, rng: random.Random
         ok = ok and f(src._mult(a, b)) == dst._mult(fa, fb)
         ok = ok and f(src._neg(a)) == dst._neg(fa)
         rec.tally(ok, "a={} b={}", a, b)
-    return rec.check
+    return rec
 
 
 def inclusion_suite(spec: RepresentationSpec, rng: random.Random,
@@ -258,7 +253,7 @@ def inclusion_suite(spec: RepresentationSpec, rng: random.Random,
     """Stage-wise: the III-IV tower sits inside the I-II tower, operations agree."""
     narrow = build_representation(spec, MODE_III_IV)
     wide = build_representation(spec, MODE_I_II)
-    return [_preserves(_Recorder(f"stage {idx}: carrier inclusion and operation agreement"),
+    return [_preserves(PropertyCheck(f"stage {idx}: carrier inclusion and operation agreement"),
                        sub, sup, lambda e: e, rng, samples,
                        lambda a, b, fa, fb: sup.contains(a) and sup.contains(b))
             for idx, (sub, sup) in enumerate(zip(narrow.stages, wide.stages), start=1)]
@@ -270,7 +265,7 @@ def embedding_suite(target: StandardTarget, rng: random.Random,
     preserving *, neg and the unit."""
     checks = []
     for idx, (src, dst) in enumerate(zip(target.source.stages, target.stages), start=1):
-        rec = _Recorder(f"stage {idx}: embedding preserves *, neg, order, unit")
+        rec = PropertyCheck(f"stage {idx}: embedding preserves *, neg, order, unit")
         rec.tally(target.embed(idx, src.unit()) == dst.unit(), "unit")
         checks.append(_preserves(rec, src, dst, lambda e: target.embed(idx, e), rng, samples))
     return checks
@@ -281,7 +276,7 @@ def iso_suite(rng: random.Random, samples: int,
     """Sampled isomorphism checks: tower flattening and type II re-association."""
     checks = []
     for j, k in zjk_pairs:
-        rec = _Recorder(f"PLPII(Z_{j}, Z_{k}) = Z_{j + k}: order, *, neg, bijection")
+        rec = PropertyCheck(f"PLPII(Z_{j}, Z_{k}) = Z_{j + k}: order, *, neg, bijection")
         flat = make_zj(j + k)
         checks.append(_preserves(
             rec, build_plp("II", make_zj(j), second=make_zj(k)), flat,
@@ -291,7 +286,7 @@ def iso_suite(rng: random.Random, samples: int,
     for triple in ((z_chain(), z_chain(), z_chain()),
                    (z_chain(), z_chain(), q_chain())):
         names = ", ".join(str(x) for x in triple)
-        rec = _Recorder(f"type II re-association over ({names})")
+        rec = PropertyCheck(f"type II re-association over ({names})")
         fusion = fuse_type2_iso(*triple)
         rec.tally(fusion.to_right(fusion.left.unit()) == fusion.right.unit(), "unit")
         checks.append(_preserves(rec, fusion.left, fusion.right, fusion.to_right, rng, samples,

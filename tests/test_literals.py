@@ -8,6 +8,7 @@ from oddlex import (
     Marker,
     MembershipError,
     Pair,
+    TOP_BOUND,
     adjoin_bounds,
     build_plp,
     format_elem,
@@ -68,3 +69,10 @@ def test_membership_errors():
         parse_elem(make_zj(2), "(1, B)")  # no bottom markers in a type II product
     with pytest.raises(MembershipError):
         parse_elem(z_chain(), "TOP")
+    # Markers and bounds share one enum but not one spelling: T/B only in a
+    # pair's second place, TOP/BOT only outside a pair.
+    with pytest.raises(MembershipError):
+        parse_elem(adjoin_bounds(make_zj(2)), "(1, TOP)")
+    with pytest.raises(MembershipError):
+        parse_elem(adjoin_bounds(z_chain()), "T")
+    assert format_elem(Pair(zelem(1), TOP_BOUND)) == "(1, T)"

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 from oddlex import plp, verify
 from oddlex.chains import z_chain
 from oddlex.elements import format_elem
-from oddlex.verify import _Recorder, involution_suite, _rng
+from oddlex.towers import RepresentationSpec
+from oddlex.verify import PropertyCheck, involution_suite, _rng
 
 
 def test_witnesses_are_formatted_only_for_kept_failures(monkeypatch):
@@ -14,7 +16,7 @@ def test_witnesses_are_formatted_only_for_kept_failures(monkeypatch):
         return format_elem(e)
 
     monkeypatch.setattr(verify, "format_elem", counting)
-    rec = _Recorder("law")
+    rec = PropertyCheck("law")
     a, b = (1,), (-2,)
     for _ in range(10):
         rec.tally(True, "a={} b={}", a, b)
@@ -22,8 +24,8 @@ def test_witnesses_are_formatted_only_for_kept_failures(monkeypatch):
     for _ in range(7):
         rec.tally(False, "a={} b={}", a, b)
     rec.tally(False, "unit")
-    assert (rec.check.samples, rec.check.failures) == (18, 8)
-    assert rec.check.witnesses == ["a=1 b=-2"] * 5
+    assert (rec.samples, rec.failures) == (18, 8)
+    assert rec.witnesses == ["a=1 b=-2"] * 5
     assert len(calls) == 10  # two literals for each of the five kept witnesses
 
 
@@ -51,3 +53,37 @@ def test_iso_suite_builds_each_flattening_once_whatever_the_sample_count(monkeyp
         assert all(c.failures == 0 for c in checks)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+README_SPEC = {"ranks": [1, 1, 1], "iota": ["III", "IV"],
+               "zdescs": [["*"], ["2", "*"]], "vdescs": [["2"], ["2", "3"]]}
+
+
+def test_verify_draws_the_same_elements_in_the_same_order(monkeypatch):
+    # A passing check records only counts, so the draws themselves are pinned
+    # here: one literal per draw, in order, over every suite of both towers.
+    # The log spells fiber markers T/B and global bounds TOP/BOT, so it also
+    # pins how each prints.
+    log = []
+
+    def logged(fn, show):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            log.append(show(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(verify, "sample_elem", logged(verify.sample_elem, format_elem))
+    monkeypatch.setattr(verify, "sample_group_elem",
+                        logged(verify.sample_group_elem, format_elem))
+    monkeypatch.setattr(verify, "sample_distinct_pair", logged(
+        verify.sample_distinct_pair,
+        lambda p: "-" if p is None else " < ".join(map(format_elem, p))))
+    spec = RepresentationSpec.from_json(README_SPEC)
+    for standard in (False, True):
+        verify.run_verification(spec, "all", 25, 0, standard=standard)
+    assert len(log) == 2022
+    assert any("TOP" in e for e in log) and any("BOT" in e for e in log)
+    assert any(", T)" in e for e in log) and any(", B)" in e for e in log)
+    assert hashlib.sha256("\n".join(log).encode()).hexdigest() \
+        == "8a4a54b4f6f824e8c8716515df0adc0b0f2bb72a245d0d466b56ff523b86936e"
