@@ -78,6 +78,14 @@ class PlpKind(enum.Enum):
     IV = "IV"
 
 
+# Plain names, as TOP_MARKER: ``PlpKind.III`` is a slow enum lookup on hot paths.
+_III, _IV = PlpKind.III, PlpKind.IV
+
+# The seeded draws' bound: an integer coordinate lies in [-_MAGNITUDE, _MAGNITUDE],
+# a rational one is p/q with |p| <= 3 * _MAGNITUDE and 1 <= q <= _MAGNITUDE.
+_MAGNITUDE = 8
+
+
 class Algebra:
     """Shared derived operations; concrete carriers subclass this."""
 
@@ -327,16 +335,21 @@ class ZLex(BaseAlgebra):
 
     _coord = int
 
-    def _build(self, take) -> tuple:
-        return tuple([take(self) for _ in range(self.dim)])
+    @cached_property
+    def _selves(self) -> tuple:
+        return (self,) * self.dim
 
-    def _draw(self, rng: random.Random, entry: Entry, magnitude: int) -> int:
+    def _build(self, take) -> tuple:
+        return tuple(map(take, self._selves))
+
+    def _draw(self, rng: random.Random, entry: Entry) -> int:
+        # rng.randrange(2m + 1) - m is what rng.randint(-m, m) reduces to: the same bits
         if entry is None:
-            return rng.randint(-magnitude, magnitude)
+            return rng.randrange(2 * _MAGNITUDE + 1) - _MAGNITUDE
         if not entry:
             return 0
         # (p/q)Z meets Z in pZ
-        return entry.numerator * rng.randint(-magnitude, magnitude)
+        return entry.numerator * (rng.randrange(2 * _MAGNITUDE + 1) - _MAGNITUDE)
 
     def _mult(self, a, b):
         return tuple(map(operator.add, a, b))
@@ -397,13 +410,13 @@ class QChain(BaseAlgebra):
     def _build(self, take) -> Fraction:
         return take(self)
 
-    def _draw(self, rng: random.Random, entry: Entry, magnitude: int) -> Fraction:
+    def _draw(self, rng: random.Random, entry: Entry) -> Fraction:
         if entry is None:
-            return Fraction(rng.randint(-3 * magnitude, 3 * magnitude),
-                            rng.randint(1, magnitude))
+            return Fraction(rng.randrange(6 * _MAGNITUDE + 1) - 3 * _MAGNITUDE,
+                            rng.randrange(_MAGNITUDE) + 1)
         if not entry:
             return _ZERO
-        return entry * rng.randint(-magnitude, magnitude)
+        return entry * (rng.randrange(2 * _MAGNITUDE + 1) - _MAGNITUDE)
 
     def _mult(self, a, b):
         return a + b
@@ -492,11 +505,11 @@ class PlpAlgebra(Algebra):
 
     @property
     def has_bot_marker(self) -> bool:
-        return self.kind is PlpKind.III
+        return self.kind is _III
 
     @cached_property
     def display_kind(self) -> str:
-        if self.kind is PlpKind.III:
+        if self.kind is _III:
             return "I" if self.zdesc == self.vdesc else "III"
         return "II" if self.vdesc == self.first.group_part_descriptor else "IV"
 
@@ -515,7 +528,7 @@ class PlpAlgebra(Algebra):
         if not isinstance(e, Pair):
             return False
         x, s = e.first, e.second
-        if s is BOT_MARKER or (s is TOP_MARKER and self.kind is PlpKind.IV):
+        if s is BOT_MARKER or (s is TOP_MARKER and self.kind is _IV):
             return (s is TOP_MARKER or self.has_bot_marker) and self.first.contains(x)
         if s is TOP_MARKER:
             return self._in_subgroup(self._zrel, x)
@@ -556,7 +569,7 @@ class PlpAlgebra(Algebra):
         # Type III tests x's coordinates in the caller's buffer, or a new one if
         # _zrel constrains any; type IV tests none.  A member (x, y) has x in V.
         x, s = a.first, a.second
-        if self.kind is PlpKind.III:
+        if self.kind is _III:
             buf = [] if out is None and self._zrel.constrained else out
             start = 0 if buf is None else len(buf)
             nx, g = self.first._neg_coords(x, buf)
@@ -653,7 +666,7 @@ class PlpAlgebra(Algebra):
         # pair of marker elements, (a, T) or (a, B) below (b, B).  Type IV:
         # the fiber over b fills the gap exactly when b lies in V.
         name = self.display_name()
-        if self.kind is PlpKind.III:
+        if self.kind is _III:
             if self.zdesc != self.vdesc:
                 return (f"{self} keeps marker-only fibers over Z\\V, "
                         "which are two-element and hence not dense")
@@ -727,8 +740,10 @@ class BoundedAlgebra(Algebra):
         return self.inner._mult(a, b)
 
     def _neg_coords(self, a, out):
-        if isinstance(a, Bound):
-            return (TOP_BOUND if a is BOT_BOUND else BOT_BOUND), False
+        if a is BOT_BOUND:
+            return TOP_BOUND, False
+        if a is TOP_BOUND:
+            return BOT_BOUND, False
         return self.inner._neg_coords(a, out)
 
     def _cover_up(self, a):

@@ -13,7 +13,7 @@ bound-adjoined operand, so a bound inside a pair is always a fiber marker.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Union
 
@@ -27,14 +27,53 @@ class Bound(enum.Enum):
     BOT = "BOT"
 
 
-@dataclass(frozen=True)
 class Pair:
-    first: "Elem"
-    second: "Elem"
+    """An immutable pair, compared and hashed as the tuple ``(first, second)``.
+
+    A slotted class rather than a frozen dataclass: construction is the
+    per-level constant of every operation on a deep tower.  ``__init__``
+    stores through the slot descriptors, and assignment or deletion raises
+    ``FrozenInstanceError`` as on the dataclass.  ``copy`` and ``pickle``
+    rebuild a pair from ``__reduce__``; a deep copy is the pair itself, as for
+    ``Fraction``, since nothing inside it can change, and copying a 300-level
+    element node by node would exceed the recursion limit.
+    """
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: "Elem", second: "Elem") -> None:
+        _set_first(self, first)
+        _set_second(self, second)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Pair:
+            return NotImplemented
+        return self.first == other.first and self.second == other.second
+
+    def __hash__(self):
+        return hash((self.first, self.second))
+
+    def __repr__(self):
+        return f"Pair(first={self.first!r}, second={self.second!r})"
+
+    def __reduce__(self):
+        return Pair, (self.first, self.second)
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __str__(self) -> str:
         return format_elem(self)
 
+
+_set_first = Pair.first.__set__
+_set_second = Pair.second.__set__
 
 Elem = Union[GroupValue, Pair, Bound]
 Marker = Bound

@@ -37,9 +37,7 @@ _MARKER_SIZE = 3
 # The weight of sample_elem's marker-on-Z clause, counted in tau values.
 _MARKER_WEIGHT = 0.25
 
-# The samplers' per-coordinate bound (see each base chain's ``_draw``), and how
-# many pairs sample_distinct_pair draws before it gives up.
-_MAGNITUDE = 8
+# How many pairs sample_distinct_pair draws before it gives up.
 _TRIES = 64
 
 
@@ -110,13 +108,13 @@ def _candidate_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list
 def sample_group_elem(algebra: Algebra, desc: SubgroupDescriptor, rng: random.Random) -> Elem:
     """A random group-part element satisfying the descriptor."""
     entries = iter(desc.entries)
-    return algebra._build(lambda chain: chain._draw(rng, next(entries), _MAGNITUDE))
+    return algebra._build(lambda chain: chain._draw(rng, next(entries)))
 
 
 def sample_elem(algebra: Algebra, rng: random.Random) -> Elem:
     """A random carrier member; every carrier clause has positive probability."""
     if isinstance(algebra, BaseAlgebra):
-        return algebra._build(lambda chain: chain._draw(rng, None, _MAGNITUDE))
+        return algebra._build(lambda chain: chain._draw(rng, None))
     if isinstance(algebra, BoundedAlgebra):
         roll = rng.random()
         if roll < 0.05:

@@ -96,9 +96,10 @@ def involution_suite(algebra: Algebra, rng: random.Random, samples: int) -> list
     rev = PropertyCheck("negation reverses the order")
     for _ in range(samples):
         a, b = sample_elem(algebra, rng), sample_elem(algebra, rng)
-        dneg.tally(algebra._neg(algebra._neg(a)) == a, "{}", a)
+        na = algebra._neg(a)
+        dneg.tally(algebra._neg(na) == a, "{}", a)
         rev.tally((algebra._compare(a, b) <= 0)
-                  == (algebra._compare(algebra._neg(b), algebra._neg(a)) <= 0),
+                  == (algebra._compare(algebra._neg(b), na) <= 0),
                   "a={} b={}", a, b)
     odd = PropertyCheck("oddness: neg t = t")
     t = algebra.unit()
@@ -112,8 +113,9 @@ def monoid_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Pro
     unit = algebra.unit()
     for _ in range(samples):
         a, b, c = (sample_elem(algebra, rng) for _ in range(3))
-        ok = algebra._mult(a, b) == algebra._mult(b, a)
-        ok = ok and algebra._mult(a, algebra._mult(b, c)) == algebra._mult(algebra._mult(a, b), c)
+        ab = algebra._mult(a, b)
+        ok = ab == algebra._mult(b, a)
+        ok = ok and algebra._mult(a, algebra._mult(b, c)) == algebra._mult(ab, c)
         ok = ok and algebra._mult(a, unit) == a
         laws.tally(ok, "a={} b={} c={}", a, b, c)
         if algebra._compare(a, b) <= 0:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from oddlex import (
     zelem,
 )
 from oddlex.sampling import sample_elem, window_elements
+from oddlex.towers import RepresentationSpec, build_representation
 from conftest import rng
 
 Z = z_chain()
@@ -299,3 +303,47 @@ def test_residuum_at_the_top_bound():
 def test_double_bound_adjunction_rejected():
     with pytest.raises(PreconditionViolation):
         adjoin_bounds(BZ)
+
+
+# -- the Pair contract ---------------------------------------------------------
+
+def test_pair_is_immutable_and_has_no_dict():
+    p = Pair(zelem(1), Marker.TOP)
+    for field in ("first", "second"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, field, zelem(2))
+        with pytest.raises(FrozenInstanceError):
+            delattr(p, field)
+    with pytest.raises(FrozenInstanceError):
+        p.third = 3
+    assert not hasattr(p, "__dict__")
+    assert (p.first, p.second) == (zelem(1), Marker.TOP)
+
+
+def test_pair_hashes_and_compares_as_its_tuple_but_never_equals_one():
+    a, b = Pair(zelem(1), qelem(1, 2)), Pair(zelem(1), qelem(2, 4))
+    assert a == b and a is not b and not (a != b)
+    assert hash(a) == hash(b) == hash((zelem(1), qelem(1, 2)))
+    assert a != Pair(zelem(1), qelem(1, 3)) and a != Pair(zelem(2), qelem(1, 2))
+    assert a != (zelem(1), qelem(1, 2)) and (zelem(1), qelem(1, 2)) != a
+    assert len({a, b, Pair(a, Marker.BOT), Pair(b, Marker.BOT)}) == 2
+
+
+def test_pair_repr_is_the_dataclass_repr():
+    assert repr(Pair(Pair(zelem(1, -2), qelem(1, 2)), Marker.TOP)) \
+        == "Pair(first=Pair(first=(1, -2), second=Fraction(1, 2)), second=<Bound.TOP: 'TOP'>)"
+    assert repr(Pair((), BOT_BOUND)) == "Pair(first=(), second=<Bound.BOT: 'BOT'>)"
+
+
+def test_pair_survives_copy_and_pickle_on_a_300_stage_tower():
+    n = 300
+    tower = build_representation(
+        RepresentationSpec.from_json({"ranks": [1] * n, "iota": ["III"] * (n - 1)}), "III-IV")
+    for A in (Z2, tower.stages[-1]):
+        for e in (A.unit(), sample_elem(A, rng(0))):
+            for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+                assert twin == e and hash(twin) == hash(e) and A.contains(twin)
+    depth, e = 0, tower.stages[-1].unit()
+    while isinstance(e, Pair):
+        depth, e = depth + 1, e.first
+    assert depth == n - 1

@@ -59,11 +59,9 @@ README_SPEC = {"ranks": [1, 1, 1], "iota": ["III", "IV"],
                "zdescs": [["*"], ["2", "*"]], "vdescs": [["2"], ["2", "3"]]}
 
 
-def test_verify_draws_the_same_elements_in_the_same_order(monkeypatch):
-    # A passing check records only counts, so the draws themselves are pinned
-    # here: one literal per draw, in order, over every suite of both towers.
-    # The log spells fiber markers T/B and global bounds TOP/BOT, so it also
-    # pins how each prints.
+def _draw_log(monkeypatch, doc: dict) -> list[str]:
+    """One literal per sampler call of ``run_verification`` over ``doc``, in
+    order: every suite, 25 samples, seed 0, without and with ``standard``."""
     log = []
 
     def logged(fn, show):
@@ -79,11 +77,34 @@ def test_verify_draws_the_same_elements_in_the_same_order(monkeypatch):
     monkeypatch.setattr(verify, "sample_distinct_pair", logged(
         verify.sample_distinct_pair,
         lambda p: "-" if p is None else " < ".join(map(format_elem, p))))
-    spec = RepresentationSpec.from_json(README_SPEC)
+    spec = RepresentationSpec.from_json(doc)
     for standard in (False, True):
         verify.run_verification(spec, "all", 25, 0, standard=standard)
+    return log
+
+
+def _digest(log: list[str]) -> str:
+    return hashlib.sha256("\n".join(log).encode()).hexdigest()
+
+
+def test_verify_draws_the_same_elements_in_the_same_order(monkeypatch):
+    # A passing check records only counts, so the draws themselves are pinned
+    # here: one literal per draw, in order, over every suite of both towers.
+    # The log spells fiber markers T/B and global bounds TOP/BOT, so it also
+    # pins how each prints.
+    log = _draw_log(monkeypatch, README_SPEC)
     assert len(log) == 2022
     assert any("TOP" in e for e in log) and any("BOT" in e for e in log)
     assert any(", T)" in e for e in log) and any(", B)" in e for e in log)
-    assert hashlib.sha256("\n".join(log).encode()).hexdigest() \
+    assert _digest(log) \
         == "8a4a54b4f6f824e8c8716515df0adc0b0f2bb72a245d0d466b56ff523b86936e"
+
+
+def test_verify_draws_the_same_elements_on_a_deep_tower(monkeypatch):
+    # The same pin on ten left-nested III/IV/III stages, where every draw
+    # recurses through the whole tower.
+    doc = {"ranks": [1] * 10, "iota": [("III", "IV", "III")[i % 3] for i in range(9)]}
+    log = _draw_log(monkeypatch, doc)
+    assert len(log) == 5190
+    assert _digest(log) \
+        == "6e3cede2e829b639077aa4dde472f102689f612649c894c407c5ac5091bd8492"
