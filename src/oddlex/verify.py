@@ -1,8 +1,11 @@
 """Sampled property suites behind the ``verify`` command.
 
 Each suite draws seeded samples from an algebra (or a tower) and counts
-violations of one family of laws.  A failing sample is recorded as a witness
-string; suites are deterministic functions of (seed, samples).
+violations of one family of laws; suites are deterministic functions of
+(seed, samples).  A per-algebra law is a row ``(name, holds, witness)`` that
+``_laws`` runs: ``holds`` gives the verdict on one round's draws, or None where
+the law does not apply, and a failure keeps ``witness`` filled in from the
+draws.  ``SUITES`` registers each per-algebra suite with its sample divisor.
 """
 
 from __future__ import annotations
@@ -73,55 +76,70 @@ def _rng(seed: int, *parts) -> random.Random:
     return random.Random(f"{seed}:" + ":".join(str(p) for p in parts))
 
 
+def _laws(algebra: Algebra, rng: random.Random, count: int, draws: str,
+          *laws) -> list[PropertyCheck]:
+    """Tally the rows ``laws`` over ``count`` rounds.  A round draws one element
+    per letter of ``draws`` (``e``: ``sample_elem``, ``g``: ``sample_group_elem``);
+    a row's ``holds(*xs)`` is its verdict, None where it does not apply (not
+    counted), and its ``witness`` picks draws by position, as ``"{2}"``."""
+    gdesc = algebra.group_part_descriptor if "g" in draws else None
+    rows = [(PropertyCheck(name), holds, witness) for name, holds, witness in laws]
+    for _ in range(count):
+        xs = [sample_elem(algebra, rng) if d == "e" else sample_group_elem(algebra, gdesc, rng)
+              for d in draws]
+        for rec, holds, witness in rows:
+            ok = holds(*xs)
+            if ok is not None:
+                rec.tally(ok, witness, *xs)
+    return [rec for rec, _, _ in rows]
+
+
+def _refused(fn, error, *args) -> bool:
+    """Whether ``fn(*args)`` raises ``error``."""
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
+
+
 def adjointness_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    rec = PropertyCheck("adjointness: a*v <= b iff v <= a->b")
+    cmp, mult, res = algebra._compare, algebra._mult, algebra._residuum
     unit = algebra.unit()
-    for _ in range(samples):
-        a, b, v = (sample_elem(algebra, rng) for _ in range(3))
-        lhs = algebra._compare(algebra._mult(a, v), b) <= 0
-        rhs = algebra._compare(v, algebra._residuum(a, b)) <= 0
-        rec.tally(lhs == rhs, "a={} b={} v={}", a, b, v)
-    res = PropertyCheck("residuum is the maximum: a*(a->b) <= b and t <= a->a")
-    for _ in range(samples // 10 + 1):
-        a, b = sample_elem(algebra, rng), sample_elem(algebra, rng)
-        r = algebra._residuum(a, b)
-        ok = algebra._compare(algebra._mult(a, r), b) <= 0
-        ok = ok and algebra._compare(unit, algebra._tau(a)) <= 0
-        res.tally(ok, "a={} b={}", a, b)
-    return [rec, res]
+    adjoint = ("adjointness: a*v <= b iff v <= a->b",
+               lambda a, b, v: (cmp(mult(a, v), b) <= 0) == (cmp(v, res(a, b)) <= 0),
+               "a={0} b={1} v={2}")
+    maximum = ("residuum is the maximum: a*(a->b) <= b and t <= a->a",
+               lambda a, b: cmp(mult(a, res(a, b)), b) <= 0 and cmp(unit, algebra._tau(a)) <= 0,
+               "a={0} b={1}")
+    return (_laws(algebra, rng, samples, "eee", adjoint)
+            + _laws(algebra, rng, samples // 10 + 1, "ee", maximum))
 
 
 def involution_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    dneg = PropertyCheck("involution: neg(neg a) = a")
-    rev = PropertyCheck("negation reverses the order")
-    for _ in range(samples):
-        a, b = sample_elem(algebra, rng), sample_elem(algebra, rng)
-        na = algebra._neg(a)
-        dneg.tally(algebra._neg(na) == a, "{}", a)
-        rev.tally((algebra._compare(a, b) <= 0)
-                  == (algebra._compare(algebra._neg(b), na) <= 0),
-                  "a={} b={}", a, b)
+    cmp, neg = algebra._compare, algebra._neg
     odd = PropertyCheck("oddness: neg t = t")
     t = algebra.unit()
-    odd.tally(algebra._neg(t) == t, "{}", t)
-    return [dneg, rev, odd]
+    odd.tally(neg(t) == t, "{}", t)
+    return _laws(algebra, rng, samples, "ee",
+                 ("involution: neg(neg a) = a", lambda a, b: neg(neg(a)) == a, "{0}"),
+                 ("negation reverses the order",
+                  lambda a, b: (cmp(a, b) <= 0) == (cmp(neg(b), neg(a)) <= 0),
+                  "a={0} b={1}")) + [odd]
 
 
 def monoid_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    laws = PropertyCheck("commutative monoid laws")
-    mono = PropertyCheck("multiplication is monotone")
+    cmp, mult = algebra._compare, algebra._mult
     unit = algebra.unit()
-    for _ in range(samples):
-        a, b, c = (sample_elem(algebra, rng) for _ in range(3))
-        ab = algebra._mult(a, b)
-        ok = ab == algebra._mult(b, a)
-        ok = ok and algebra._mult(a, algebra._mult(b, c)) == algebra._mult(ab, c)
-        ok = ok and algebra._mult(a, unit) == a
-        laws.tally(ok, "a={} b={} c={}", a, b, c)
-        if algebra._compare(a, b) <= 0:
-            mono.tally(algebra._compare(algebra._mult(a, c), algebra._mult(b, c)) <= 0,
-                       "a={} b={} c={}", a, b, c)
-    return [laws, mono]
+    return _laws(algebra, rng, samples, "eee",
+                 ("commutative monoid laws",
+                  lambda a, b, c: ((ab := mult(a, b)) == mult(b, a)
+                                   and mult(a, mult(b, c)) == mult(ab, c)
+                                   and mult(a, unit) == a),
+                  "a={0} b={1} c={2}"),
+                 ("multiplication is monotone",
+                  lambda a, b, c: cmp(mult(a, c), mult(b, c)) <= 0 if cmp(a, b) <= 0 else None,
+                  "a={0} b={1} c={2}"))
 
 
 def random_term(algebra: Algebra, rng: random.Random, leaves: list[Elem], depth: int):
@@ -141,17 +159,16 @@ def random_term(algebra: Algebra, rng: random.Random, leaves: list[Elem], depth:
 
 
 def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    unit = algebra.unit()
-    idem = PropertyCheck("tau values are positive idempotents and tau-fixed")
+    unit, tau, mult = algebra.unit(), algebra._tau, algebra._mult
     seen = set()
-    for _ in range(samples):
-        a = sample_elem(algebra, rng)
-        ta = algebra._tau(a)
+
+    def idempotent(a):
+        ta = tau(a)
         seen.add(ta)
-        ok = algebra._mult(ta, ta) == ta
-        ok = ok and algebra._compare(unit, ta) <= 0
-        ok = ok and algebra._tau(ta) == ta
-        idem.tally(ok, "{}", a)
+        return mult(ta, ta) == ta and algebra._compare(unit, ta) <= 0 and tau(ta) == ta
+
+    checks = _laws(algebra, rng, samples, "e",
+                   ("tau values are positive idempotents and tau-fixed", idempotent, "{0}"))
     count = PropertyCheck("distinct tau values match the structural count",
                           samples, 0 if len(seen) == algebra.idempotent_count else 1,
                           [], f"observed {len(seen)}, expected {algebra.idempotent_count}")
@@ -162,62 +179,42 @@ def tau_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[Proper
         tv = algebra._tau(value)
         biggest = max((algebra._tau(u) for u in used), key=algebra._key)
         terms.tally(tv == biggest, "{}", value)
-    return [idem, count, terms]
+    return checks + [count, terms]
 
 
 def covers_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    gdesc = algebra.group_part_descriptor
     if not algebra.grpart_discretely_embedded:
-        rec = PropertyCheck("covers are refused without a discrete embedding")
-        for _ in range(min(samples, 50)):
-            a = sample_group_elem(algebra, gdesc, rng)
-            try:
-                algebra.cover_up(a)
-                rec.tally(False, "{}", a)
-            except UndefinedCover:
-                rec.tally(True)
-        return [rec]
-    rec = PropertyCheck("covers: up/down inverse, inside the group part, adjacent")
-    for _ in range(samples):
-        a = sample_group_elem(algebra, gdesc, rng)
+        return _laws(algebra, rng, min(samples, 50), "g", (
+            "covers are refused without a discrete embedding",
+            lambda a: _refused(algebra.cover_up, UndefinedCover, a), "{0}"))
+    cmp, gc = algebra._compare, algebra._group_coords
+
+    def adjacent(a, probe):
         up = algebra.cover_up(a)
-        ok = algebra.cover_down(up) == a
-        ok = ok and algebra._compare(a, up) < 0
-        ok = ok and algebra._group_coords(up) is not None
-        probe = sample_elem(algebra, rng)
-        ok = ok and not (algebra._compare(a, probe) < 0 and algebra._compare(probe, up) < 0)
-        rec.tally(ok, "{}", a)
-    return [rec]
+        return (algebra.cover_down(up) == a and cmp(a, up) < 0 and gc(up) is not None
+                and not (cmp(a, probe) < 0 and cmp(probe, up) < 0))
+
+    return _laws(algebra, rng, samples, "ge", (
+        "covers: up/down inverse, inside the group part, adjacent", adjacent, "{0}"))
 
 
 def group_part_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
-    gdesc = algebra.group_part_descriptor
-    closure = PropertyCheck("group part closed under * and neg")
-    agree = PropertyCheck("x * neg x = t agrees with the structural group part")
-    for _ in range(samples):
-        g = sample_group_elem(algebra, gdesc, rng)
-        h = sample_group_elem(algebra, gdesc, rng)
-        ok = algebra._group_coords(algebra._mult(g, h)) is not None
-        ok = ok and algebra._group_coords(algebra._neg(g)) is not None
-        closure.tally(ok, "g={} h={}", g, h)
-        a = sample_elem(algebra, rng)
-        eq = algebra._mult(a, algebra._neg(a)) == algebra.unit()
-        agree.tally(eq == (algebra._group_coords(a) is not None), "{}", a)
-    return [closure, agree]
+    mult, neg, gc = algebra._mult, algebra._neg, algebra._group_coords
+    unit = algebra.unit()
+    return _laws(algebra, rng, samples, "gge",
+                 ("group part closed under * and neg",
+                  lambda g, h, a: gc(mult(g, h)) is not None and gc(neg(g)) is not None,
+                  "g={0} h={1}"),
+                 ("x * neg x = t agrees with the structural group part",
+                  lambda g, h, a: (mult(a, neg(a)) == unit) == (gc(a) is not None), "{2}"))
 
 
 def density_suite(algebra: Algebra, rng: random.Random, samples: int) -> list[PropertyCheck]:
     if not algebra.is_dense:
         rec = PropertyCheck("between is refused on a non-dense order")
         pair = sample_distinct_pair(algebra, rng)
-        if pair is None:
-            rec.tally(True)
-        else:
-            try:
-                between(algebra, *pair)
-                rec.tally(False, "{} .. {}", *pair)
-            except NotDense:
-                rec.tally(True)
+        rec.tally(pair is None or _refused(between, NotDense, algebra, *pair),
+                  "{} .. {}", *(pair or ()))
         return [rec]
     rec = PropertyCheck("between returns a strict intermediate")
     for _ in range(samples):
@@ -276,6 +273,8 @@ def embedding_suite(target: StandardTarget, rng: random.Random,
 def iso_suite(rng: random.Random, samples: int,
               zjk_pairs=((1, 1), (1, 2), (2, 1))) -> list[PropertyCheck]:
     """Sampled isomorphism checks: tower flattening and type II re-association."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     checks = []
     for j, k in zjk_pairs:
         rec = PropertyCheck(f"PLPII(Z_{j}, Z_{k}) = Z_{j + k}: order, *, neg, bijection")
@@ -299,17 +298,15 @@ def iso_suite(rng: random.Random, samples: int,
 # ---------------------------------------------------------------------------
 # Suite registry
 
-PER_ALGEBRA_SUITES = {
-    "adjoint": adjointness_suite,
-    "involution": involution_suite,
-    "tau": tau_suite,
-    "density": density_suite,
-}
-
-STRUCTURE_SUITES = {
-    "structure": monoid_suite,
-    "covers": covers_suite,
-    "group-part": group_part_suite,
+# name -> (suite, sample divisor), alone or under "all"; at least one sample.
+SUITES = {
+    "adjoint": (adjointness_suite, 1),
+    "involution": (involution_suite, 1),
+    "tau": (tau_suite, 1),
+    "density": (density_suite, 1),
+    "structure": (monoid_suite, 4),
+    "covers": (covers_suite, 4),
+    "group-part": (group_part_suite, 4),
 }
 
 SUITE_NAMES = ("all", "adjoint", "involution", "tau", "iso", "density",
@@ -321,6 +318,8 @@ def run_verification(spec: RepresentationSpec, suite: str, samples: int,
     """Run one suite (or all of them) over the algebras a spec gives rise to."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if standard:
         target = build_standard_target(spec)
         stages = list(target.stages)
@@ -332,14 +331,12 @@ def run_verification(spec: RepresentationSpec, suite: str, samples: int,
     subjects.append((f"bounded top: {adjoin_bounds(stages[-1])}", adjoin_bounds(stages[-1])))
 
     reports: list[SuiteReport] = []
-    # The structure suites run a quarter of the samples, alone or under "all".
-    for suites, count in ((PER_ALGEBRA_SUITES, samples),
-                          (STRUCTURE_SUITES, max(samples // 4, 1))):
-        for name, fn in suites.items():
-            if suite not in ("all", name):
-                continue
+    for name, (fn, divisor) in SUITES.items():
+        if suite in ("all", name):
+            # Called by its module name, so a wrapper installed there (a tracer, a test) runs.
+            fn = globals()[fn.__name__]
             for subject, algebra in subjects:
-                checks = fn(algebra, _rng(seed, name, subject), count)
+                checks = fn(algebra, _rng(seed, name, subject), max(samples // divisor, 1))
                 reports.append(SuiteReport(name, subject, checks))
     if suite == "all" and any(d is not None for d in spec.vdescs):
         checks = inclusion_suite(spec, _rng(seed, "inclusion"), max(samples // 4, 1))

@@ -4,6 +4,7 @@ import pytest
 
 from oddlex.cli import main
 from oddlex.serialize import algebra_from_json, tower_from_json
+from oddlex.verify import SUITE_NAMES, SUITES
 from oddlex import build_plp, make_qj, q_chain, INT_IN_Q
 
 
@@ -132,7 +133,11 @@ def test_verify_rejects_unknown_suite(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("suite", ["structure", "covers", "group-part"])
+def test_suite_names_are_all_iso_and_the_registered_suites():
+    assert set(SUITE_NAMES) == {"all", "iso", *SUITES}
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
 def test_structure_suites_run_alone_as_under_all(tmp_path, capsys, suite):
     spec = write_spec(tmp_path, "spec.json", SPEC_12)
     argv = ["verify", spec, "--samples", "40", "--seed", "3", "--json"]
@@ -142,7 +147,8 @@ def test_structure_suites_run_alone_as_under_all(tmp_path, capsys, suite):
     everything = json.loads(capsys.readouterr().out)
     assert alone["suites"], suite
     assert alone["suites"] == [r for r in everything["suites"] if r["suite"] == suite]
-    assert all(c["samples"] <= 10 for r in alone["suites"] for c in r["checks"])
+    cap = 40 // SUITES[suite][1]
+    assert all(c["samples"] <= cap for r in alone["suites"] for c in r["checks"])
 
 
 def test_countermodel_found_with_rendering(tmp_path, capsys):

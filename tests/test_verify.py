@@ -1,9 +1,12 @@
 import hashlib
 import random
 
+import pytest
+
 from oddlex import plp, verify
 from oddlex.chains import z_chain
 from oddlex.elements import format_elem
+from oddlex.sampling import sample_elem
 from oddlex.towers import RepresentationSpec
 from oddlex.verify import PropertyCheck, involution_suite, _rng
 
@@ -53,6 +56,51 @@ def test_iso_suite_builds_each_flattening_once_whatever_the_sample_count(monkeyp
         assert all(c.failures == 0 for c in checks)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_law_rows_fill_witnesses_from_their_draw_positions(monkeypatch):
+    drawn = []
+
+    def logged(fn):
+        def wrapper(*args):
+            drawn.append(fn(*args))
+            return drawn[-1]
+        return wrapper
+
+    monkeypatch.setattr(verify, "sample_elem", logged(verify.sample_elem))
+    monkeypatch.setattr(verify, "sample_group_elem", logged(verify.sample_group_elem))
+    third, swapped = verify._laws(z_chain(2), random.Random(0), 7, "eeg",
+                                  ("always fails", lambda a, b, g: False, "{2}"),
+                                  ("fails too", lambda a, b, g: False, "b={1} a={0}"))
+    assert len(drawn) == 21
+    rounds = [[format_elem(e) for e in drawn[i:i + 3]] for i in range(0, 21, 3)]
+    assert len({r[2] for r in rounds[:5]}) > 1  # distinct draws, so positions show
+    assert (third.samples, third.failures) == (swapped.samples, swapped.failures) == (7, 7)
+    assert third.witnesses == [g for _, _, g in rounds[:5]]
+    assert swapped.witnesses == [f"b={b} a={a}" for a, b, _ in rounds[:5]]
+
+
+def test_law_rows_count_only_the_draws_a_law_applies_to():
+    A = z_chain(1)
+    rng = random.Random(1)
+    pairs = [(sample_elem(A, rng), sample_elem(A, rng)) for _ in range(200)]
+    ordered = sum(A._compare(a, b) <= 0 for a, b in pairs)
+    assert 0 < ordered < 200
+    partial, total = verify._laws(
+        A, random.Random(1), 200, "ee",
+        ("fails where it applies", lambda a, b: False if A._compare(a, b) <= 0 else None, "{0}"),
+        ("holds everywhere", lambda a, b: True, "{0}"))
+    assert (partial.samples, partial.failures) == (ordered, ordered)
+    assert (total.samples, total.failures) == (200, 0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sample_counts_below_one_are_refused(samples):
+    spec = RepresentationSpec.from_json(README_SPEC)
+    with pytest.raises(ValueError, match=f"got {samples}"):
+        verify.run_verification(spec, "all", samples, 0)
+    with pytest.raises(ValueError, match=f"got {samples}"):
+        verify.iso_suite(random.Random(0), samples)
 
 
 README_SPEC = {"ranks": [1, 1, 1], "iota": ["III", "IV"],
