@@ -89,6 +89,12 @@ _MAGNITUDE = 8
 class Algebra:
     """Shared derived operations; concrete carriers subclass this."""
 
+    def __getstate__(self):
+        # A cached hash is only valid in the process that computed it.
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state
+
     # -- carrier ---------------------------------------------------------
 
     def contains(self, e: Elem) -> bool:
@@ -434,10 +440,10 @@ class QChain(BaseAlgebra):
         return (x + y) / 2
 
     def window(self, radius: int, cap: int) -> list:
-        # O(radius) values: the whole box, whatever the cap.
-        vals = {Fraction(p, q) for q in (1, 2, 3)
-                for p in range(-radius * q, radius * q + 1)}
-        return sorted(vals, key=lambda v: (abs(v), v))
+        # O(radius) values: the whole box, whatever the cap, by (abs(v), v).
+        # In sixths, a denominator 1..3 is a numerator even or divisible by 3.
+        return [_ZERO] + [Fraction(k, 6) for m in range(1, 6 * radius + 1)
+                          if m % 2 == 0 or m % 3 == 0 for k in (-m, m)]
 
     def __str__(self):
         return "Q"
@@ -502,6 +508,14 @@ class PlpAlgebra(Algebra):
     zdesc: Optional[SubgroupDescriptor]
     vdesc: SubgroupDescriptor
     second: Algebra
+
+    # Hashed once: the generated hash rehashes the whole tower below on every
+    # lookup.  Equality stays the generated field-by-field one.
+    _hash = cached_property(lambda self: hash((self.kind, self.first, self.zdesc,
+                                               self.vdesc, self.second)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def has_bot_marker(self) -> bool:
@@ -714,6 +728,11 @@ class BoundedAlgebra(Algebra):
     """
 
     inner: Algebra
+
+    _hash = cached_property(lambda self: hash((self.inner,)))  # as on PlpAlgebra
+
+    def __hash__(self):
+        return self._hash
 
     def contains(self, e):
         if isinstance(e, Bound):

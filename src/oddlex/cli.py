@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``build``, ``verify``, ``countermodel``, ``eval``, ``iso-check``.
+Subcommands: ``build``, ``verify``, ``countermodel``, ``eval``, ``iso-check``,
+defined in one table, ``_COMMANDS``.  An invocation that names a subcommand
+builds the top parser and that one subparser only; help, a missing or an
+unknown subcommand build them all; the output is the same either way.
 Exit codes: 0 success (or countermodel found), 1 not found / verification
 failure, 2 usage and validation errors.
 """
@@ -192,66 +195,84 @@ def cmd_iso_check(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+# name -> (help, handler, the subparser's arguments as add_argument's parameters)
+_COMMANDS = {
+    "build": ("build the tower a spec describes", cmd_build, (
+        _arg("spec", help="representation spec (JSON file)"),
+        _arg("--mode", default=MODE_I_II, choices=[MODE_I_II, MODE_III_IV],
+             help="which construction pair to apply"),
+        _arg("--standard", action="store_true", help="build the dense companion tower instead"),
+        _arg("--out", help="write the tower file here"),
+        _arg("--json", action="store_true"),
+    )),
+    "verify": ("run sampled property suites", cmd_verify, (
+        _arg("spec"),
+        _arg("--suite", default="all", choices=list(SUITE_NAMES)),
+        _arg("--samples", type=int, default=1000),
+        _arg("--seed", type=int, default=0),
+        _arg("--standard", action="store_true"),
+        _arg("--json", action="store_true"),
+    )),
+    "countermodel": ("falsify a formula over the spec's bounded top algebra", cmd_countermodel, (
+        _arg("spec"),
+        _arg("formula"),
+        _arg("--theory", help="file with one premise per line"),
+        _arg("--budget", type=int, default=10000),
+        _arg("--seed", type=int, default=0),
+        _arg("--standard", action="store_true"),
+        _arg("--render-unit", action="store_true",
+             help="also render all touched elements into (0,1)"),
+        _arg("--out", help="write the countermodel JSON here"),
+    )),
+    "eval": ("evaluate a formula under an assignment", cmd_eval, (
+        _arg("spec"),
+        _arg("formula"),
+        _arg("--assign", action="append", metavar="VAR=LITERAL"),
+        _arg("--standard", action="store_true"),
+        _arg("--json", action="store_true"),
+    )),
+    "iso-check": ("sampled canonical isomorphism checks", cmd_iso_check, (
+        _arg("--pairs", default="1,1;1,2;2,1",
+             help="semicolon-separated j,k pairs for the tower flattening"),
+        _arg("--samples", type=int, default=500),
+        _arg("--seed", type=int, default=0),
+        _arg("--json", action="store_true"),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    Either prints the same usage line: with one subcommand the metavar still
+    names all five, as argparse would for the full parser.  The full parser
+    keeps argparse's own metavar, since its "arguments are required" error
+    names the ``command`` dest only when no metavar is given.
+    """
     parser = argparse.ArgumentParser(
         prog="oddlex",
         description="Construct odd residuated chains by partial lexicographic "
                     "products, verify their laws, and search for countermodels.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="build the tower a spec describes")
-    p.add_argument("spec", help="representation spec (JSON file)")
-    p.add_argument("--mode", default=MODE_I_II, choices=[MODE_I_II, MODE_III_IV],
-                   help="which construction pair to apply")
-    p.add_argument("--standard", action="store_true",
-                   help="build the dense companion tower instead")
-    p.add_argument("--out", help="write the tower file here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_build)
-
-    p = sub.add_parser("verify", help="run sampled property suites")
-    p.add_argument("spec")
-    p.add_argument("--suite", default="all", choices=list(SUITE_NAMES))
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--standard", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("countermodel",
-                       help="falsify a formula over the spec's bounded top algebra")
-    p.add_argument("spec")
-    p.add_argument("formula")
-    p.add_argument("--theory", help="file with one premise per line")
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--standard", action="store_true")
-    p.add_argument("--render-unit", action="store_true",
-                   help="also render all touched elements into (0,1)")
-    p.add_argument("--out", help="write the countermodel JSON here")
-    p.set_defaults(fn=cmd_countermodel)
-
-    p = sub.add_parser("eval", help="evaluate a formula under an assignment")
-    p.add_argument("spec")
-    p.add_argument("formula")
-    p.add_argument("--assign", action="append", metavar="VAR=LITERAL")
-    p.add_argument("--standard", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("iso-check", help="sampled canonical isomorphism checks")
-    p.add_argument("--pairs", default="1,1;1,2;2,1",
-                   help="semicolon-separated j,k pairs for the tower flattening")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_iso_check)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_, fn, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        # By its module name, so a wrapper installed there (a tracer, a test) runs.
+        p.set_defaults(fn=globals()[fn.__name__])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Help, no subcommand and an unknown one need the full parser.
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.fn(args)
     except OddlexError as exc:

@@ -88,7 +88,7 @@ def format_group_value(v: GroupValue) -> str:
     if isinstance(v, tuple):
         if len(v) == 1:
             return str(v[0])
-        return "<" + ",".join(str(c) for c in v) + ">"
+        return "<" + ",".join(map(str, v)) + ">"
     raise TypeError(f"not a group value: {v!r}")
 
 

@@ -6,8 +6,10 @@ built level by level: each level returns its capped rows ``((size, literal),
 element, group_coords)``.  A pair takes its key and its group coordinates
 from the rows of its components: sizes add, literals nest, and ``(x, y)``
 gets ``cx + cy`` (None on the marker fibers and the global bounds), so no
-element tree is walked twice.  A level builds ``Pair`` elements only for the
-rows that survive its sort and cap.  One ``window_elements`` call computes
+element tree is walked twice.  A level first lists its candidates' sizes
+and finds the cap-th smallest; it formats literals, joins coordinates and
+builds ``Pair`` elements only for the rows no larger than that, the rows the
+cap keeps and the ties at the cutoff.  One ``window_elements`` call computes
 each component's rows once, in a dict passed down the recursion, so the
 levels of a left-nested tower share their second chain's window.  A ``Z^k``
 chain enumerates its box by whole L1 shells and stops after the shell that
@@ -23,7 +25,7 @@ reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from bisect import bisect_right
 from operator import itemgetter
 from .chains import Algebra, BaseAlgebra, BoundedAlgebra
 from .elements import BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Elem, Pair, format_group_value
@@ -33,6 +35,10 @@ from .groups import SubgroupDescriptor
 # Sizes are exact integers counting twelfths: a marker or a global bound
 # weighs 1/4, and window rationals have denominators 1..3.
 _MARKER_SIZE = 3
+
+# A product's marker rows: each marker with its letter in a literal.
+_B, _T = ((BOT_MARKER, "B"),), ((TOP_MARKER, "T"),)
+_BT = _B + _T
 
 # The weight of sample_elem's marker-on-Z clause, counted in tau values.
 _MARKER_WEIGHT = 0.25
@@ -62,47 +68,73 @@ def _window_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list:
     call to its rows."""
     rows = memo.get(algebra)
     if rows is None:
-        rows = _candidate_rows(algebra, radius, cap, memo)
+        sizes, rows_upto = _candidates(algebra, radius, cap, memo)
+        # Only rows no larger than the cap-th smallest size can survive the cap.
+        cutoff = sorted(sizes)[cap - 1] if len(sizes) > cap else max(sizes, default=0)
+        rows = rows_upto(cutoff)
         rows.sort(key=itemgetter(0))
-        memo[algebra] = rows = [(key, x if s is None else Pair(x, s), coords)
-                                for key, x, s, coords in rows[:cap]]
+        memo[algebra] = rows = rows[:cap]
     return rows
 
 
-def _value_row(chain, value) -> tuple:
-    coords = chain.coords(value)
-    twelfths = Fraction(sum(map(abs, coords))) * 12
-    if twelfths.denominator != 1:
-        raise ShapeError(f"window value {value} has a denominator outside 1..3")
-    return (twelfths.numerator, format_group_value(value)), value, None, coords
-
-
-def _candidate_rows(algebra: Algebra, radius: int, cap: int, memo: dict) -> list:
-    """Unsorted candidates ``(key, x, s, group_coords)`` that ``_window_rows``
-    sorts and caps; the element is ``x`` when ``s`` is None, else ``Pair(x, s)``."""
+def _candidates(algebra: Algebra, radius: int, cap: int, memo: dict) -> tuple:
+    """The sizes of ``algebra``'s candidate rows, and a function that builds
+    the candidate rows of size at most a given cutoff for ``_window_rows`` to
+    sort and cap."""
     if isinstance(algebra, BaseAlgebra):
-        return [_value_row(algebra, v) for v in algebra.window(radius, cap)]
+        values = algebra.window(radius, cap)
+        coords = list(map(algebra.coords, values))
+        sizes = list(map(_twelfths, coords))
+        return sizes, lambda cutoff: [
+            ((size, format_group_value(v)), v, c)
+            for size, v, c in zip(sizes, values, coords) if size <= cutoff]
     if isinstance(algebra, BoundedAlgebra):
-        return [((_MARKER_SIZE, BOT_BOUND.value), BOT_BOUND, None, None),
-                ((_MARKER_SIZE, TOP_BOUND.value), TOP_BOUND, None, None)] \
-            + _candidate_rows(algebra.inner, radius, cap, memo)
+        sizes, inner_upto = _candidates(algebra.inner, radius, cap, memo)
+        bounds = [((_MARKER_SIZE, b.value), b, None) for b in (BOT_BOUND, TOP_BOUND)]
+        return [_MARKER_SIZE, _MARKER_SIZE, *sizes], lambda cutoff: (
+            bounds if _MARKER_SIZE <= cutoff else []) + inner_upto(cutoff)
+    # Which first rows pair at all is decided by count, as if every candidate
+    # were built: the rows up to the one that passes 3 * cap candidates.
     second_rows = _window_rows(algebra.second, radius, cap, memo)
-    out: list = []
+    ysizes = [size for (size, _), _, _ in second_rows]  # ascending
+    in_z = algebra._zrel.contains_coords if algebra.has_bot_marker else None
+    in_v = algebra._vrel.contains_coords
+    sizes: list = []
+    plan = []
     for (size, lit), x, cx in _window_rows(algebra.first, radius, cap, memo):
-        marked = size + _MARKER_SIZE
-        if algebra.has_bot_marker:
-            out.append(((marked, f"({lit}, B)"), x, BOT_MARKER, None))
-            if cx is not None and algebra._zrel.contains_coords(cx):
-                out.append(((marked, f"({lit}, T)"), x, TOP_MARKER, None))
-        else:
-            out.append(((marked, f"({lit}, T)"), x, TOP_MARKER, None))
-        if cx is not None and algebra._vrel.contains_coords(cx):
-            out.extend(((size + ysize, f"({lit}, {ylit})"), x, y,
-                        None if cy is None else cx + cy)
-                       for (ysize, ylit), y, cy in second_rows)
-        if len(out) > 3 * cap:
+        markers = _T if in_z is None else _BT if cx is not None and in_z(cx) else _B
+        paired = cx is not None and in_v(cx)
+        plan.append((size, lit, x, cx, markers, paired))
+        sizes += [size + _MARKER_SIZE] * len(markers)
+        if paired:
+            sizes += map(size.__add__, ysizes)
+        if len(sizes) > 3 * cap:
             break
-    return out
+
+    def rows_upto(cutoff):
+        out = []
+        for size, lit, x, cx, markers, paired in plan:
+            if size > cutoff:  # the first rows come smallest first
+                break
+            if size + _MARKER_SIZE <= cutoff:
+                for marker, letter in markers:
+                    out.append(((size + _MARKER_SIZE, f"({lit}, {letter})"), Pair(x, marker), None))
+            if paired:
+                for (ysize, ylit), y, cy in second_rows[:bisect_right(ysizes, cutoff - size)]:
+                    out.append(((size + ysize, f"({lit}, {ylit})"), Pair(x, y),
+                                None if cy is None else cx + cy))
+        return out
+
+    return sizes, rows_upto
+
+
+def _twelfths(coords: tuple) -> int:
+    if coords and type(coords[0]) is not int:  # the one coordinate of Q
+        twelfths, rest = divmod(12 * abs(coords[0].numerator), coords[0].denominator)
+        if rest:
+            raise ShapeError(f"window value {coords[0]} has a denominator outside 1..3")
+        return twelfths
+    return 12 * sum(map(abs, coords))
 
 
 def sample_group_elem(algebra: Algebra, desc: SubgroupDescriptor, rng: random.Random) -> Elem:

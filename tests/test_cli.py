@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from oddlex.cli import main
+from oddlex.cli import build_parser, main
 from oddlex.serialize import algebra_from_json, tower_from_json
 from oddlex.verify import SUITE_NAMES, SUITES
 from oddlex import build_plp, make_qj, q_chain, INT_IN_Q
@@ -288,3 +289,45 @@ def test_countermodel_json_round_trips(tmp_path, capsys):
     cm = Countermodel.from_json(doc)
     cm.validate()
     assert cm.to_json() == doc
+
+
+# Each command's positionals; argparse stops at the bad argument before any file is read.
+POSITIONALS = {"build": ["s.json"], "verify": ["s.json"], "countermodel": ["s.json", "p"],
+               "eval": ["s.json", "p"], "iso-check": []}
+USAGE_ARGVS = [[], ["--help"], ["bogus"]]
+for _name, _pos in POSITIONALS.items():
+    USAGE_ARGVS += [[_name, "-h"], [_name, *_pos, "--bogus"],
+                    [_name, *_pos[:-1]] if _pos else [_name, "--samples"]]
+USAGE_ARGVS += [["verify", "s.json", "--suite", "bogus"], ["build", "s.json", "--mode", "bogus"]]
+
+
+def _exit_and_output(run, argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_usage_output_is_that_of_the_full_parser(capsys, argv):
+    full = _exit_and_output(lambda a: build_parser().parse_args(a), argv, capsys)
+    assert _exit_and_output(main, argv, capsys) == full
+    assert full[0] in (0, 2) and full[1] + full[2]
+
+
+def test_a_named_command_builds_only_its_own_subparser(monkeypatch, capsys):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    with pytest.raises(SystemExit):
+        main(["countermodel", "s.json", "p", "--bogus"])
+    assert names == ["countermodel"]
+    assert capsys.readouterr().err.startswith(
+        "usage: oddlex [-h] {build,verify,countermodel,eval,iso-check} ...\n")

@@ -25,6 +25,7 @@ from oddlex import (
     z_chain,
     zelem,
 )
+from oddlex.chains import PlpAlgebra
 from oddlex.sampling import sample_elem, window_elements
 from oddlex.towers import RepresentationSpec, build_representation
 from conftest import rng
@@ -347,3 +348,24 @@ def test_pair_survives_copy_and_pickle_on_a_300_stage_tower():
     while isinstance(e, Pair):
         depth, e = depth + 1, e.first
     assert depth == n - 1
+
+
+def test_an_algebra_hashes_its_tower_once(monkeypatch):
+    # A memo lookup keyed by a deep tower must not rehash every level below.
+    spec = RepresentationSpec.from_json({"ranks": [1] * 12, "iota": ["III", "IV"] * 5 + ["III"]})
+    A, B = (adjoin_bounds(build_representation(spec).top) for _ in range(2))
+    calls = []
+    plp_hash = PlpAlgebra.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return plp_hash(self)
+
+    monkeypatch.setattr(PlpAlgebra, "__hash__", counting)
+    assert A == B and A is not B and hash(A) == hash(B)
+    assert len(calls) == 2 * 11
+    hash(A), hash(B), {A: 1}[B]
+    assert len(calls) == 2 * 11
+    # A cached hash is not pickled: it holds only in the process that made it.
+    twin = pickle.loads(pickle.dumps(A))
+    assert "_hash" not in vars(twin) and twin == A and hash(twin) == hash(A)

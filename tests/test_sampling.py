@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from oddlex.chains import (BaseAlgebra, BoundedAlgebra, QChain, ZLex, adjoin_bounds, q_chain,
-                           trivial_chain, z_chain)
+from oddlex import sampling
+from oddlex.chains import (BaseAlgebra, BoundedAlgebra, PlpAlgebra, QChain, ZLex, adjoin_bounds,
+                           q_chain, trivial_chain, z_chain)
 from oddlex.cli import main
 from oddlex.elements import BOT_BOUND, TOP_BOUND, Bound, Marker, Pair, format_elem
 from oddlex.errors import ShapeError
@@ -115,13 +116,64 @@ ALGEBRAS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def _left_nested(n, kinds):
+    return {"ranks": [1] * n, "iota": [kinds[i % len(kinds)] for i in range(n - 1)]}
+
+
+# The deep towers the countermodel search windows, checked at its radius and
+# at two caps: the 12-stage ones are slow under the reference.
+DEEP_ALGEBRAS = {
+    "bounded iii12": lambda: adjoin_bounds(_top(_left_nested(12, ("III",)))),
+    "bounded alt12": lambda: adjoin_bounds(_top(_left_nested(12, ("III", "IV")))),
+    "bounded standard alt12": lambda: adjoin_bounds(_standard_top(_left_nested(12, ("III", "IV")))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(DEEP_ALGEBRAS))
 def test_window_matches_the_reference_definition(name):
-    A = ALGEBRAS[name]()
-    for radius in (1, 2, 3, 4):
-        for cap in (10, 60, 400, 4000):
+    if name in DEEP_ALGEBRAS:
+        A, radii, caps = DEEP_ALGEBRAS[name](), (3,), (60, 400)
+    else:
+        A, radii, caps = ALGEBRAS[name](), (1, 2, 3, 4), (10, 60, 400, 4000)
+    for radius in radii:
+        for cap in caps:
             assert window_elements(A, radius, cap) == reference_window(A, radius, cap), \
                 (name, radius, cap)
+
+
+def test_the_window_builds_no_row_that_the_cap_drops(monkeypatch):
+    # Per product level, a literal is formatted and a Pair built only for the
+    # candidates no larger than the cap-th smallest size: the kept rows plus
+    # the ties at that cutoff, not the about 3 * cap candidates.
+    A, cap = DEEP_ALGEBRAS["bounded iii12"](), 60
+    pairs, levels = [], []
+    candidates = sampling._candidates
+
+    def recording(algebra, *args):
+        sizes, rows_upto = candidates(algebra, *args)
+
+        def recorded(cutoff):
+            before = len(pairs)
+            rows = rows_upto(cutoff)
+            if isinstance(algebra, PlpAlgebra):
+                levels.append((sorted(sizes), cutoff, rows, len(pairs) - before))
+            return rows
+        return sizes, recorded
+
+    def counting_pair(x, s):
+        pairs.append(None)
+        return Pair(x, s)
+
+    monkeypatch.setattr(sampling, "_candidates", recording)
+    monkeypatch.setattr(sampling, "Pair", counting_pair)
+    assert len(window_elements(A, 3, cap)) == cap
+    assert len(levels) == 11
+    for sizes, cutoff, rows, built in levels:
+        kept_and_ties = cap + sizes.count(cutoff)
+        literals = {lit for (_, lit), _, _ in rows}
+        assert built == len(literals) == len(rows) <= kept_and_ties
+    # Every level past the first has about 3 * cap candidates.
+    assert all(len(sizes) > 2.5 * cap for sizes, _, _, _ in levels[1:])
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
