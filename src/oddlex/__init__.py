@@ -22,7 +22,7 @@ from .chains import (
     z_chain,
     zelem,
 )
-from .elements import BOT_BOUND, TOP_BOUND, Bound, Elem, Marker, Pair, format_elem
+from .elements import BOT_BOUND, TOP_BOUND, Bound, Elem, Pair, format_elem
 from .errors import (
     ClosureBudgetExceeded,
     FormulaSyntaxError,

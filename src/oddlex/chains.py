@@ -31,9 +31,20 @@ evaluation, the samplers, the suites).  The residuum
 one pass: :meth:`Algebra._build` pairs the builds of a product's factors,
 defers through the bounds, and lets each base chain ask its ``take`` for its
 coordinates in order.  A base chain also owns its coordinates (``coords``,
-``_coord`` for an integer coordinate), its window and its seeded per-coordinate
-draw (``_draw`` inside a descriptor entry: ``*``, ``0`` or the multiples of
-``p/q``).
+``_coord`` for an integer coordinate) and its seeded per-coordinate draw
+(``_draw`` inside a descriptor entry: ``*``, ``0`` or the multiples of ``p/q``).
+
+Each class generates its own elements for :mod:`oddlex.sampling`:
+:meth:`Algebra._sample` picks a carrier clause at random, and
+:meth:`Algebra._sample_group` draws a group-part element in one ``_build``.
+The window is built level by level: :meth:`Algebra._window_rows` sorts and caps
+the rows ``((size, literal), element, group_coords)`` of the class's
+``_window_candidates``, once per algebra and call, so the levels of a
+left-nested tower share their second chain's rows.  A base chain sizes the
+values of its ``window`` with ``_twelfths``; a pair's row comes from its
+components' rows (sizes add, literals nest, ``(x, y)`` gets ``cx + cy``), so no
+element tree is walked twice.  A level builds only the candidates no larger
+than the cap-th smallest size: the rows the cap keeps and the ties.
 
 The order is one flat key per element, :meth:`Algebra._key`, compared natively
 by :meth:`Algebra._compare` and by every sort: a base-chain element ``v`` has
@@ -61,12 +72,14 @@ from __future__ import annotations
 import enum
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .elements import BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Elem, Pair, format_elem
+from .elements import (BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Elem, Pair, format_elem,
+                       format_group_value)
 from .errors import MembershipError, PreconditionViolation, ShapeError, UndefinedCover
 from .groups import Entry, GroupValue, SubgroupDescriptor, _l1_shell
 
@@ -84,6 +97,17 @@ _III, _IV = PlpKind.III, PlpKind.IV
 # The seeded draws' bound: an integer coordinate lies in [-_MAGNITUDE, _MAGNITUDE],
 # a rational one is p/q with |p| <= 3 * _MAGNITUDE and 1 <= q <= _MAGNITUDE.
 _MAGNITUDE = 8
+
+# The random sampler's rate of a global bottom, and then of a global top, and
+# the weight of a product's marker-on-Z clause, counted in tau values.
+_BOUND_RATE, _MARKER_WEIGHT = 0.05, 0.25
+
+# Window sizes are exact integers counting twelfths: a marker or a global bound
+# weighs 1/4, and window rationals have denominators 1..3.  A product's marker
+# rows pair each marker with its letter in a literal.
+_MARKER_SIZE = 3
+_B, _T = ((BOT_MARKER, "B"),), ((TOP_MARKER, "T"),)
+_BT = _B + _T
 
 
 class Algebra:
@@ -239,6 +263,35 @@ class Algebra:
         answers of ``take(chain)``, asked of the base chain owning each."""
         raise NotImplementedError
 
+    # -- element generation ------------------------------------------------
+
+    def _sample(self, rng: random.Random) -> Elem:
+        """A random carrier member; every carrier clause has positive probability."""
+        raise NotImplementedError
+
+    def _sample_group(self, desc: SubgroupDescriptor, rng: random.Random) -> Elem:
+        """A random group-part element satisfying ``desc``, drawn in one build."""
+        entries = iter(desc.entries)
+        return self._build(lambda chain: chain._draw(rng, next(entries)))
+
+    def _window_rows(self, radius: int, cap: int, memo: dict) -> list:
+        """The capped rows ``((size, literal), element, group_coords)`` of the
+        window; ``memo`` maps each algebra already done in this window to its rows."""
+        rows = memo.get(self)
+        if rows is None:
+            sizes, rows_upto = self._window_candidates(radius, cap, memo)
+            # Only rows no larger than the cap-th smallest size can survive the cap.
+            cutoff = sorted(sizes)[cap - 1] if len(sizes) > cap else max(sizes, default=0)
+            rows = rows_upto(cutoff)
+            rows.sort(key=operator.itemgetter(0))
+            memo[self] = rows = rows[:cap]
+        return rows
+
+    def _window_candidates(self, radius: int, cap: int, memo: dict) -> tuple:
+        """The sizes of the candidate window rows, and a function that builds the
+        candidate rows of size at most a given cutoff, for :meth:`_window_rows`."""
+        raise NotImplementedError
+
     # -- structural properties ------------------------------------------------
 
     @property
@@ -301,6 +354,19 @@ class BaseAlgebra(Algebra):
 
     def _group_coords(self, e):
         return self.coords(e) if self.contains(e) else None
+
+    def _sample(self, rng):
+        return self._build(lambda chain: chain._draw(rng, None))
+
+    def _window_candidates(self, radius, cap, memo):
+        values = self.window(radius, cap)
+        sizes = list(map(self._twelfths, values))
+        return sizes, lambda cutoff: [
+            ((size, format_group_value(v)), v, self.coords(v))
+            for size, v in zip(sizes, values) if size <= cutoff]
+
+    def _twelfths(self, v) -> int:
+        return 12 * sum(map(abs, v))
 
     @cached_property
     def group_part_descriptor(self):
@@ -444,6 +510,12 @@ class QChain(BaseAlgebra):
         # In sixths, a denominator 1..3 is a numerator even or divisible by 3.
         return [_ZERO] + [Fraction(k, 6) for m in range(1, 6 * radius + 1)
                           if m % 2 == 0 or m % 3 == 0 for k in (-m, m)]
+
+    def _twelfths(self, v: Fraction) -> int:
+        twelfths, rest = divmod(12 * abs(v.numerator), v.denominator)
+        if rest:
+            raise ShapeError(f"window value {v} has a denominator outside 1..3")
+        return twelfths
 
     def __str__(self):
         return "Q"
@@ -653,6 +725,59 @@ class PlpAlgebra(Algebra):
     def _build(self, take):
         return Pair(self.first._build(take), self.second._build(take))
 
+    def _sample(self, rng):
+        # Clause weights are counted in tau values: the (v, y) clause alone
+        # lifts the second factor's c2 tau values, so it gets c2 of c1 + c2;
+        # the marker-on-Z clause, whose tau values all lift the unit's, gets
+        # _MARKER_WEIGHT; an arbitrary first component gets the rest.  So every
+        # tau value is drawn about evenly, however deep it lies.
+        first = self.first
+        c1, c2 = first.idempotent_count, self.second.idempotent_count
+        roll = rng.random() * (c1 + c2)
+        if roll < c2:
+            return Pair(first._sample_group(self.vdesc, rng), self.second._sample(rng))
+        if self.kind is _IV:
+            return Pair(first._sample(rng), TOP_MARKER)
+        if roll < c2 + _MARKER_WEIGHT:
+            return Pair(first._sample_group(self.zdesc, rng),
+                        TOP_MARKER if rng.random() < 0.5 else BOT_MARKER)
+        return Pair(first._sample(rng), BOT_MARKER)
+
+    def _window_candidates(self, radius, cap, memo):
+        # Which first rows pair at all is decided by count, as if every candidate
+        # were built: the rows up to the one that passes 3 * cap candidates.
+        second_rows = self.second._window_rows(radius, cap, memo)
+        ysizes = [size for (size, _), _, _ in second_rows]  # ascending
+        in_z = self._zrel.contains_coords if self.kind is _III else None
+        in_v = self._vrel.contains_coords
+        sizes: list = []
+        plan = []
+        for (size, lit), x, cx in self.first._window_rows(radius, cap, memo):
+            markers = _T if in_z is None else _BT if cx is not None and in_z(cx) else _B
+            paired = cx is not None and in_v(cx)
+            plan.append((size, lit, x, cx, markers, paired))
+            sizes += [size + _MARKER_SIZE] * len(markers)
+            if paired:
+                sizes += map(size.__add__, ysizes)
+            if len(sizes) > 3 * cap:
+                break
+
+        def rows_upto(cutoff):
+            out = []
+            for size, lit, x, cx, markers, paired in plan:
+                if size > cutoff:  # the first rows come smallest first
+                    break
+                if size + _MARKER_SIZE <= cutoff:
+                    out += [((size + _MARKER_SIZE, f"({lit}, {letter})"), Pair(x, marker), None)
+                            for marker, letter in markers]
+                if paired:
+                    for (ysize, ylit), y, cy in second_rows[:bisect_right(ysizes, cutoff - size)]:
+                        out.append(((size + ysize, f"({lit}, {ylit})"), Pair(x, y),
+                                    None if cy is None else cx + cy))
+            return out
+
+        return sizes, rows_upto
+
     @cached_property
     def ambient_kinds(self):
         return self.first.ambient_kinds + self.second.ambient_kinds
@@ -789,6 +914,20 @@ class BoundedAlgebra(Algebra):
 
     def _build(self, take):
         return self.inner._build(take)
+
+    def _sample(self, rng):
+        roll = rng.random()
+        if roll < _BOUND_RATE:
+            return BOT_BOUND
+        if roll < 2 * _BOUND_RATE:
+            return TOP_BOUND
+        return self.inner._sample(rng)
+
+    def _window_candidates(self, radius, cap, memo):
+        sizes, inner_upto = self.inner._window_candidates(radius, cap, memo)
+        bounds = [((_MARKER_SIZE, b.value), b, None) for b in (BOT_BOUND, TOP_BOUND)]
+        return [_MARKER_SIZE, _MARKER_SIZE, *sizes], lambda cutoff: (
+            bounds if _MARKER_SIZE <= cutoff else []) + inner_upto(cutoff)
 
     @property
     def ambient_kinds(self):

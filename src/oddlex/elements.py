@@ -5,9 +5,9 @@ An element is a canonical group value of a base chain (an int tuple for
 second component is an element of the product's fiber (the second factor
 with bounds adjoined), or one of the two bounds of a bound-adjoined algebra.
 So one enum, :class:`Bound`, serves both: the fiber markers are the fiber's
-bounds (``Marker`` is an alias).  A bound prints ``T``/``B`` in a pair's
-second place and ``TOP``/``BOT`` anywhere else; products take no
-bound-adjoined operand, so a bound inside a pair is always a fiber marker.
+bounds.  A bound prints ``T``/``B`` in a pair's second place and
+``TOP``/``BOT`` anywhere else; products take no bound-adjoined operand, so a
+bound inside a pair is always a fiber marker.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ _set_first = Pair.first.__set__
 _set_second = Pair.second.__set__
 
 Elem = Union[GroupValue, Pair, Bound]
-Marker = Bound
 
 TOP_BOUND = TOP_MARKER = Bound.TOP  # plain names: ``Bound.TOP`` is a slow enum lookup on hot paths
 BOT_BOUND = BOT_MARKER = Bound.BOT

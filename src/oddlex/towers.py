@@ -36,7 +36,7 @@ from .chains import (
     trivial_chain,
     z_chain,
 )
-from .elements import TOP_MARKER, Elem, Marker, Pair, format_elem
+from .elements import TOP_MARKER, Bound, Elem, Pair, format_elem
 from .errors import (
     ClosureBudgetExceeded,
     NotDense,
@@ -183,15 +183,6 @@ def _stage_group(k: int) -> BaseAlgebra:
     return z_chain(k) if k >= 1 else trivial_chain()
 
 
-def _normalize_mode(mode: str) -> str:
-    m = mode.upper().replace("_", "-")
-    if m in (MODE_III_IV, "III/IV"):
-        return MODE_III_IV
-    if m in (MODE_I_II, "I/II"):
-        return MODE_I_II
-    raise ShapeError(f"unknown mode {mode!r}; use '{MODE_III_IV}' or '{MODE_I_II}'")
-
-
 def _build_stages(spec: RepresentationSpec, first: Algebra, factors) -> tuple[Algebra, ...]:
     """The one stage loop: stage ``i`` is the product of kind ``iota[i-2]`` of
     stage ``i-1`` with the ``(Z, V, second)`` that ``factors(i, prev)`` gives.
@@ -224,7 +215,8 @@ def build_representation(spec: RepresentationSpec, mode: str = MODE_I_II) -> Cou
     descriptors; mode I-II drops the V descriptors, so every stage is the
     degenerate type I or II product.
     """
-    mode = _normalize_mode(mode)
+    if mode not in (MODE_III_IV, MODE_I_II):
+        raise ShapeError(f"unknown mode {mode!r}; use '{MODE_III_IV}' or '{MODE_I_II}'")
 
     def factors(i: int, prev: Algebra):
         v = spec.vdesc(i - 1) if mode == MODE_III_IV else None
@@ -322,7 +314,7 @@ class StandardTarget:
         source_stage = self.source.stages[i - 1]
         target_stage = self.stages[i - 1]
         first = self._embed(i - 1, e.first)
-        if isinstance(e.second, Marker):
+        if isinstance(e.second, Bound):
             return Pair(first, e.second)
         return Pair(first,
                     self._embed_group_value(target_stage.second,

@@ -13,7 +13,7 @@ import pytest
 
 from oddlex import (
     INT_IN_Q,
-    Marker,
+    Bound,
     adjoin_bounds,
     parse_elem,
     NotDense,
@@ -210,7 +210,7 @@ def test_c7_density_witnesses():
     with pytest.raises(NotDense):
         between(z_chain(), zelem(0), zelem(1))
     with pytest.raises(NotDense):
-        between(make_zj(2), make_zj(2).unit(), Pair(zelem(0), Marker.TOP))
+        between(make_zj(2), make_zj(2).unit(), Pair(zelem(0), Bound.TOP))
     print("\nACCEPTANCE 7 PASS: between() strict on 10^3 pairs in Q_2 and "
           "PLPI(Q,Z,Q_2); integer-based inputs raise NotDense")
 
@@ -276,7 +276,7 @@ def test_c9_end_to_end_pipeline(tmp_path, capsys):
 
 def test_c10_closure_experiment():
     z2 = make_zj(2)
-    gens = [Pair(zelem(0), zelem(1)), Pair(zelem(1), Marker.TOP)]
+    gens = [Pair(zelem(0), zelem(1)), Pair(zelem(1), Bound.TOP)]
 
     # independent oracle: plain fixpoint over all five operations
     current = set(gens)

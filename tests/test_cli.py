@@ -253,6 +253,15 @@ def test_missing_spec_file_is_a_usage_error(capsys):
     assert main(["build", "/nonexistent/spec.json"]) == 2
 
 
+def test_a_spec_file_that_is_not_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text("{ranks: [1]")
+    assert main(["build", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_algebra_json_round_trip():
     from oddlex.serialize import algebra_to_json
 

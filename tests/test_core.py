@@ -9,7 +9,7 @@ from oddlex import (
     BOT_BOUND,
     INT_IN_Q,
     TOP_BOUND,
-    Marker,
+    Bound,
     MembershipError,
     NotDense,
     Pair,
@@ -38,11 +38,11 @@ BZ = adjoin_bounds(z_chain())
 
 
 def top(e):
-    return Pair(e, Marker.TOP)
+    return Pair(e, Bound.TOP)
 
 
 def bot(e):
-    return Pair(e, Marker.BOT)
+    return Pair(e, Bound.BOT)
 
 
 # -- order -------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_double_bound_adjunction_rejected():
 # -- the Pair contract ---------------------------------------------------------
 
 def test_pair_is_immutable_and_has_no_dict():
-    p = Pair(zelem(1), Marker.TOP)
+    p = Pair(zelem(1), Bound.TOP)
     for field in ("first", "second"):
         with pytest.raises(FrozenInstanceError):
             setattr(p, field, zelem(2))
@@ -318,7 +318,7 @@ def test_pair_is_immutable_and_has_no_dict():
     with pytest.raises(FrozenInstanceError):
         p.third = 3
     assert not hasattr(p, "__dict__")
-    assert (p.first, p.second) == (zelem(1), Marker.TOP)
+    assert (p.first, p.second) == (zelem(1), Bound.TOP)
 
 
 def test_pair_hashes_and_compares_as_its_tuple_but_never_equals_one():
@@ -327,11 +327,11 @@ def test_pair_hashes_and_compares_as_its_tuple_but_never_equals_one():
     assert hash(a) == hash(b) == hash((zelem(1), qelem(1, 2)))
     assert a != Pair(zelem(1), qelem(1, 3)) and a != Pair(zelem(2), qelem(1, 2))
     assert a != (zelem(1), qelem(1, 2)) and (zelem(1), qelem(1, 2)) != a
-    assert len({a, b, Pair(a, Marker.BOT), Pair(b, Marker.BOT)}) == 2
+    assert len({a, b, Pair(a, Bound.BOT), Pair(b, Bound.BOT)}) == 2
 
 
 def test_pair_repr_is_the_dataclass_repr():
-    assert repr(Pair(Pair(zelem(1, -2), qelem(1, 2)), Marker.TOP)) \
+    assert repr(Pair(Pair(zelem(1, -2), qelem(1, 2)), Bound.TOP)) \
         == "Pair(first=Pair(first=(1, -2), second=Fraction(1, 2)), second=<Bound.TOP: 'TOP'>)"
     assert repr(Pair((), BOT_BOUND)) == "Pair(first=(), second=<Bound.BOT: 'BOT'>)"
 

@@ -5,7 +5,7 @@ import pytest
 from oddlex import (
     BOT_BOUND,
     LiteralSyntaxError,
-    Marker,
+    Bound,
     MembershipError,
     Pair,
     TOP_BOUND,
@@ -38,8 +38,8 @@ def test_parse_examples():
     assert parse_elem(z_chain(), "-3") == zelem(-3)
     assert parse_elem(q_chain(), "1/2") == qelem(1, 2)
     assert parse_elem(z_chain(3), "<1,-2,0>") == zelem(1, -2, 0)
-    assert parse_elem(make_zj(2), "(1, T)") == Pair(zelem(1), Marker.TOP)
-    assert parse_elem(make_qj(2), "(1/2, B)") == Pair(qelem(1, 2), Marker.BOT)
+    assert parse_elem(make_zj(2), "(1, T)") == Pair(zelem(1), Bound.TOP)
+    assert parse_elem(make_qj(2), "(1/2, B)") == Pair(qelem(1, 2), Bound.BOT)
     assert parse_elem(adjoin_bounds(z_chain()), "BOT") is BOT_BOUND
     assert parse_elem(trivial_chain(), "<>") == zelem()
 

@@ -19,7 +19,7 @@ from oddlex import (
     build_standard_target,
 )
 from oddlex.chains import BaseAlgebra, PlpKind
-from oddlex.elements import BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Marker, Pair
+from oddlex.elements import BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Pair
 from oddlex.sampling import sample_elem, window_elements
 from oddlex.towers import MODE_I_II, MODE_III_IV
 from conftest import rng
@@ -39,7 +39,7 @@ def ref_neg_coords(A, a, want):
         nx, cx = ref_neg_coords(A.first, x, True)
         if cx is None or not A.zdesc.contains_coords(cx):
             return Pair(nx, BOT_MARKER), None
-        if isinstance(s, Marker):
+        if isinstance(s, Bound):
             return Pair(nx, TOP_MARKER if s is BOT_MARKER else BOT_MARKER), None
     elif s is TOP_MARKER:
         nx, cx = ref_neg_coords(A.first, x, True)
@@ -59,7 +59,7 @@ def ref_group_coords(A, e):
         return A.coords(e) if A.contains(e) else None
     if isinstance(A, BoundedAlgebra):
         return None if isinstance(e, Bound) else ref_group_coords(A.inner, e)
-    if not isinstance(e, Pair) or isinstance(e.second, Marker):
+    if not isinstance(e, Pair) or isinstance(e.second, Bound):
         return None
     cx = ref_group_coords(A.first, e.first)
     if cx is None or not A.vdesc.contains_coords(cx):

@@ -14,7 +14,7 @@ import pytest
 from oddlex import (
     INT_IN_Q,
     BoundedAlgebra,
-    Marker,
+    Bound,
     PlpAlgebra,
     RepresentationSpec,
     SubgroupDescriptor,
@@ -65,7 +65,7 @@ ALGEBRAS = {
 
 
 def _fiber_rank(s):
-    return 0 if s is Marker.BOT else 2 if s is Marker.TOP else 1
+    return 0 if s is Bound.BOT else 2 if s is Bound.TOP else 1
 
 
 def _bound_rank(e):

@@ -2,7 +2,7 @@ import pytest
 
 from oddlex import (
     INT_IN_Q,
-    Marker,
+    Bound,
     Pair,
     PlpAlgebra,
     PlpKind,
@@ -34,18 +34,18 @@ def carrier_type3(xs, in_z, in_v, ys):
     out = set()
     for x in xs:
         if in_v(x):
-            out.update({Pair(x, Marker.TOP), Pair(x, Marker.BOT)})
+            out.update({Pair(x, Bound.TOP), Pair(x, Bound.BOT)})
             out.update(Pair(x, y) for y in ys)
         elif in_z(x):
-            out.update({Pair(x, Marker.TOP), Pair(x, Marker.BOT)})
+            out.update({Pair(x, Bound.TOP), Pair(x, Bound.BOT)})
         else:
-            out.add(Pair(x, Marker.BOT))
+            out.add(Pair(x, Bound.BOT))
     return out
 
 
 def carrier_type4(xs, in_v, ys):
     """(X x {T}) | (V x Y) built literally."""
-    out = {Pair(x, Marker.TOP) for x in xs}
+    out = {Pair(x, Bound.TOP) for x in xs}
     for x in xs:
         if in_v(x):
             out.update(Pair(x, y) for y in ys)
@@ -55,8 +55,8 @@ def carrier_type4(xs, in_v, ys):
 def all_candidates(xs, ys):
     cands = set()
     for x in xs:
-        cands.add(Pair(x, Marker.TOP))
-        cands.add(Pair(x, Marker.BOT))
+        cands.add(Pair(x, Bound.TOP))
+        cands.add(Pair(x, Bound.BOT))
         cands.update(Pair(x, y) for y in ys)
     return cands
 
@@ -101,8 +101,8 @@ def test_type4_carrier_matches_set_equation():
 def test_carrier_examples():
     QZQ = build_plp("I", q_chain(), zdesc=INT_IN_Q, second=q_chain())
     assert not QZQ.contains(Pair(qelem(1, 2), qelem(3)))
-    assert QZQ.contains(Pair(qelem(1, 2), Marker.BOT))
-    assert make_zj(2).contains(Pair(zelem(7), Marker.TOP))
+    assert QZQ.contains(Pair(qelem(1, 2), Bound.BOT))
+    assert make_zj(2).contains(Pair(zelem(7), Bound.TOP))
 
 
 # -- construction preconditions -----------------------------------------------
@@ -256,4 +256,4 @@ def test_group_part_structure_of_products():
     Z2 = make_zj(2)
     for _ in range(300):
         e = sample_elem(Z2, r)
-        assert Z2.group_part_contains(e) == (e.second is not Marker.TOP)
+        assert Z2.group_part_contains(e) == (e.second is not Bound.TOP)

@@ -14,13 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from oddlex import sampling
+from oddlex import chains
 from oddlex.chains import (BaseAlgebra, BoundedAlgebra, PlpAlgebra, QChain, ZLex, adjoin_bounds,
                            q_chain, trivial_chain, z_chain)
 from oddlex.cli import main
-from oddlex.elements import BOT_BOUND, TOP_BOUND, Bound, Marker, Pair, format_elem
+from oddlex.elements import BOT_BOUND, TOP_BOUND, Bound, Pair, format_elem
 from oddlex.errors import ShapeError
-from oddlex.sampling import _window_rows, sample_elem, sample_group_elem, window_elements
+from oddlex.sampling import sample_elem, sample_group_elem, window_elements
 from oddlex.towers import (
     MODE_I_II,
     MODE_III_IV,
@@ -33,7 +33,7 @@ from oddlex.towers import (
 
 
 def _ref_size(e) -> Fraction:
-    if isinstance(e, (Bound, Marker)):
+    if isinstance(e, Bound):
         return Fraction(1, 4)
     if isinstance(e, (Fraction, tuple)):
         return abs(e) if isinstance(e, Fraction) else Fraction(sum(abs(c) for c in e))
@@ -59,11 +59,11 @@ def _ref_all(A, radius, cap):
     for x in reference_window(A.first, radius, cap):
         coords = A.first._group_coords(x)
         if A.has_bot_marker:
-            out.append(Pair(x, Marker.BOT))
+            out.append(Pair(x, Bound.BOT))
             if coords is not None and A.zdesc.contains_coords(coords):
-                out.append(Pair(x, Marker.TOP))
+                out.append(Pair(x, Bound.TOP))
         else:
-            out.append(Pair(x, Marker.TOP))
+            out.append(Pair(x, Bound.TOP))
         if coords is not None and A.vdesc.contains_coords(coords):
             out.extend(Pair(x, y) for y in second_window)
         if len(out) > 3 * cap:
@@ -147,7 +147,7 @@ def test_the_window_builds_no_row_that_the_cap_drops(monkeypatch):
     # the ties at that cutoff, not the about 3 * cap candidates.
     A, cap = DEEP_ALGEBRAS["bounded iii12"](), 60
     pairs, levels = [], []
-    candidates = sampling._candidates
+    candidates = PlpAlgebra._window_candidates
 
     def recording(algebra, *args):
         sizes, rows_upto = candidates(algebra, *args)
@@ -155,8 +155,7 @@ def test_the_window_builds_no_row_that_the_cap_drops(monkeypatch):
         def recorded(cutoff):
             before = len(pairs)
             rows = rows_upto(cutoff)
-            if isinstance(algebra, PlpAlgebra):
-                levels.append((sorted(sizes), cutoff, rows, len(pairs) - before))
+            levels.append((sorted(sizes), cutoff, rows, len(pairs) - before))
             return rows
         return sizes, recorded
 
@@ -164,8 +163,8 @@ def test_the_window_builds_no_row_that_the_cap_drops(monkeypatch):
         pairs.append(None)
         return Pair(x, s)
 
-    monkeypatch.setattr(sampling, "_candidates", recording)
-    monkeypatch.setattr(sampling, "Pair", counting_pair)
+    monkeypatch.setattr(PlpAlgebra, "_window_candidates", recording)
+    monkeypatch.setattr(chains, "Pair", counting_pair)
     assert len(window_elements(A, 3, cap)) == cap
     assert len(levels) == 11
     for sizes, cutoff, rows, built in levels:
@@ -179,7 +178,7 @@ def test_the_window_builds_no_row_that_the_cap_drops(monkeypatch):
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_window_rows_carry_the_group_coordinates(name):
     A = ALGEBRAS[name]()
-    for _, e, coords in _window_rows(A, 3, 400, {}):
+    for _, e, coords in A._window_rows(3, 400, {}):
         assert coords == A._group_coords(e), format_elem(e)
 
 

@@ -8,7 +8,7 @@ from oddlex import (
     TOP_BOUND,
     ClosureBudgetExceeded,
     INT_IN_Q,
-    Marker,
+    Bound,
     NotDense,
     Pair,
     PreconditionViolation,
@@ -40,7 +40,7 @@ from conftest import rng
 
 
 def top(e):
-    return Pair(e, Marker.TOP)
+    return Pair(e, Bound.TOP)
 
 
 # -- tower series --------------------------------------------------------------
@@ -84,13 +84,20 @@ def test_two_stage_type3_build_carrier():
     stage2 = tower.top
     assert stage2.contains(Pair(zelem(4), zelem(-2)))
     assert stage2.contains(top(zelem(4)))
-    assert stage2.contains(Pair(zelem(4), Marker.BOT))
+    assert stage2.contains(Pair(zelem(4), Bound.BOT))
 
 
 def test_failed_stage_reports_its_index():
     spec = RepresentationSpec((0, 1), ("IV",))
     with pytest.raises(PreconditionViolation, match="stage 2"):
         build_representation(spec, MODE_I_II)
+
+
+@pytest.mark.parametrize("mode", ["III/IV", "I/II", "iii-iv", "III_IV", "standard", ""])
+def test_a_mode_other_than_the_two_names_is_a_shape_error(mode):
+    spec = RepresentationSpec((1, 1), ("III",))
+    with pytest.raises(ShapeError, match=f"^unknown mode {mode!r}; use 'III-IV' or 'I-II'$"):
+        build_representation(spec, mode)
 
 
 def test_three_stage_mixed_build_with_descriptors():
@@ -200,7 +207,7 @@ def test_consecutive_type4_stages_merge():
 
 def test_fusion_carrier_identification():
     fusion = fuse_type2_iso(z_chain(), z_chain(), z_chain())
-    assert fusion.to_right(Pair(top(zelem(1)), Marker.TOP)) == top(zelem(1))
+    assert fusion.to_right(Pair(top(zelem(1)), Bound.TOP)) == top(zelem(1))
     assert fusion.to_right(Pair(Pair(zelem(0), zelem(2)), zelem(3))) \
         == Pair(zelem(0), Pair(zelem(2), zelem(3)))
     assert fusion.to_right(fusion.left.unit()) == fusion.right.unit()
@@ -254,8 +261,8 @@ def test_tower_flattening_is_an_op_preserving_bijection():
 def test_between_examples():
     q2 = make_qj(2)
     assert between(q2, Pair(qelem(0), qelem(3)), top(qelem(0))) == Pair(qelem(0), qelem(4))
-    assert between(q2, Pair(qelem(1, 2), Marker.BOT), Pair(qelem(3, 4), Marker.BOT)) \
-        == Pair(qelem(5, 8), Marker.BOT)
+    assert between(q2, Pair(qelem(1, 2), Bound.BOT), Pair(qelem(3, 4), Bound.BOT)) \
+        == Pair(qelem(5, 8), Bound.BOT)
     with pytest.raises(NotDense):
         between(z_chain(), zelem(0), zelem(1))
 

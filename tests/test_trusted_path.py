@@ -12,7 +12,7 @@ import pytest
 
 from oddlex.chains import (BaseAlgebra, BoundedAlgebra, PlpAlgebra, QChain, Trivial, ZLex,
                            adjoin_bounds, q_chain, z_chain)
-from oddlex.elements import Marker, Pair
+from oddlex.elements import Bound, Pair
 from oddlex.errors import LiteralSyntaxError, MembershipError, ShapeError
 from oddlex.literals import parse_elem
 from oddlex.logic import Countermodel, check_consequence, parse_formula
@@ -97,7 +97,7 @@ def test_countermodel_json_rejects_a_malformed_coordinate(literal):
     (z_chain(2), (1,)),
     (z_chain(1), (Fraction(1, 2),)),
     (q_chain(), (1,)),
-    (adjoin_bounds(z_chain(1)), Pair((0,), Marker.TOP)),
+    (adjoin_bounds(z_chain(1)), Pair((0,), Bound.TOP)),
 ], ids=["short-vector", "rational-coordinate", "vector-for-Q", "pair-in-Z"])
 def test_public_ops_reject_non_members(A, bad, op):
     unit = A.unit()
