@@ -37,14 +37,23 @@ coordinates in order.  A base chain also owns its coordinates (``coords``,
 Each class generates its own elements for :mod:`oddlex.sampling`:
 :meth:`Algebra._sample` picks a carrier clause at random, and
 :meth:`Algebra._sample_group` draws a group-part element in one ``_build``.
-The window is built level by level: :meth:`Algebra._window_rows` sorts and caps
-the rows ``((size, literal), element, group_coords)`` of the class's
-``_window_candidates``, once per algebra and call, so the levels of a
-left-nested tower share their second chain's rows.  A base chain sizes the
-values of its ``window`` with ``_twelfths``; a pair's row comes from its
-components' rows (sizes add, literals nest, ``(x, y)`` gets ``cx + cy``), so no
-element tree is walked twice.  A level builds only the candidates no larger
-than the cap-th smallest size: the rows the cap keeps and the ties.
+The window is built level by level, as far as it is asked for:
+:meth:`Algebra._window` gives each algebra of one window one state, so the
+levels of a left-nested tower share their second chain's rows.  A state
+holds the rows ``((size, literal), element, group_coords)`` given so far, in
+(size, literal) order, and gives the next size's rows when asked
+(``grow``).  A base chain sizes the values of its ``window`` with
+``_twelfths`` and gives them all at once; bounds adjoined to an algebra are
+two more candidates of its window, at the size of a marker.  A product joins
+its first factor's rows in order, until the ``3 * cap`` break, and pairs
+them with its second factor's rows: sizes add, literals nest, ``(x, y)``
+gets ``cx + cy``, so no element tree is walked twice.  Since the rows come
+by size, a size never reorders those given before it, and a product grows
+its first factor only until no row still to come there can be as small as
+the size asked for (``floor``): a search stopped early builds each level
+only up to the sizes it reached.  Asked for every row at once (``fill``), a
+product builds only the candidates no larger than the cap-th smallest size:
+the rows the cap keeps and the ties.
 
 The order is one flat key per element, :meth:`Algebra._key`, compared natively
 by :meth:`Algebra._compare` and by every sort: a base-chain element ``v`` has
@@ -72,10 +81,11 @@ from __future__ import annotations
 import enum
 import operator
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .elements import (BOT_BOUND, BOT_MARKER, TOP_BOUND, TOP_MARKER, Bound, Elem, Pair, format_elem,
@@ -108,6 +118,94 @@ _BOUND_RATE, _MARKER_WEIGHT = 0.05, 0.25
 _MARKER_SIZE = 3
 _B, _T = ((BOT_MARKER, "B"),), ((TOP_MARKER, "T"),)
 _BT = _B + _T
+_BOUND_ROWS = [((_MARKER_SIZE, b.value), b, None) for b in (BOT_BOUND, TOP_BOUND)]
+_ROW_KEY = operator.itemgetter(0)
+_UNKNOWN = object()  # a window's next size, not yet worked out
+
+
+class _Window:
+    """The window of one algebra: its rows ``((size, literal), element,
+    group_coords)`` in (size, literal) order, capped at ``cap``, given as they
+    are asked for.
+
+    ``rows`` holds the rows given so far: every row of the window no larger
+    than the last size given.  Since the rows come by size, a size never
+    reorders the rows given before it.
+    """
+
+    cap: int
+    rows: list
+
+    def floor(self) -> Optional[int]:
+        """A size that no row still to be given is below, found without
+        building any row; None once every row is given."""
+        raise NotImplementedError
+
+    def grow(self) -> bool:
+        """Give the rows of the next size; False if none is left."""
+        raise NotImplementedError
+
+    def fill(self) -> list:
+        """Give every row; the rows."""
+        while self.grow():
+            pass
+        return self.rows
+
+    def _give(self, batch: list) -> None:
+        batch.sort(key=_ROW_KEY)
+        del batch[self.cap - len(self.rows):]  # the ties past the cap
+        self.rows += batch
+
+
+class _BaseWindow(_Window):
+    """A base chain's window: the values of its ``window``, which lists them
+    by ascending size, sized up front and formatted as they are asked for,
+    with the rows ``extra`` (a bounded chain's bounds) among them."""
+
+    def __init__(self, chain, radius, cap, extra):
+        self.cap, self.rows = cap, []
+        self._chain = chain
+        self._values = chain.window(radius, cap)
+        self._sizes = list(map(chain._twelfths, self._values))
+        self._extra = sorted(extra, key=_ROW_KEY)
+        self._at = self._extra_at = 0  # values and extra rows given
+
+    def floor(self):
+        # The next size exactly: the values come by size.
+        if len(self.rows) >= self.cap:
+            return None
+        size = self._sizes[self._at] if self._at < len(self._sizes) else None
+        if self._extra_at < len(self._extra):
+            bound = self._extra[self._extra_at][0][0]
+            size = bound if size is None else min(size, bound)
+        return size
+
+    def grow(self):
+        size = self.floor()
+        if size is not None:
+            self._give_upto(size)
+        return size is not None
+
+    def fill(self):
+        if self.floor() is not None:
+            # No value larger than the cap-th smallest size survives the cap.
+            left = self._sizes[self._at:] + [row[0][0] for row in self._extra[self._extra_at:]]
+            room = self.cap - len(self.rows)
+            self._give_upto(sorted(left)[room - 1] if room < len(left) else max(left))
+        return self.rows
+
+    def _give_upto(self, upto):
+        """Give every row no larger than ``upto``."""
+        lo, self._at = self._at, bisect_right(self._sizes, upto, self._at)
+        chain = self._chain
+        batch = [((size, format_group_value(v)), v, chain.coords(v))
+                 for size, v in zip(self._sizes[lo:self._at], self._values[lo:self._at])]
+        for row in self._extra[self._extra_at:]:
+            if row[0][0] > upto:
+                break
+            batch.append(row)
+            self._extra_at += 1
+        self._give(batch)
 
 
 class Algebra:
@@ -274,22 +372,17 @@ class Algebra:
         entries = iter(desc.entries)
         return self._build(lambda chain: chain._draw(rng, next(entries)))
 
-    def _window_rows(self, radius: int, cap: int, memo: dict) -> list:
-        """The capped rows ``((size, literal), element, group_coords)`` of the
-        window; ``memo`` maps each algebra already done in this window to its rows."""
-        rows = memo.get(self)
-        if rows is None:
-            sizes, rows_upto = self._window_candidates(radius, cap, memo)
-            # Only rows no larger than the cap-th smallest size can survive the cap.
-            cutoff = sorted(sizes)[cap - 1] if len(sizes) > cap else max(sizes, default=0)
-            rows = rows_upto(cutoff)
-            rows.sort(key=operator.itemgetter(0))
-            memo[self] = rows = rows[:cap]
-        return rows
+    def _window(self, radius: int, cap: int, memo: dict) -> _Window:
+        """The window of this algebra; ``memo`` maps each algebra already met in
+        this window to its window, so the levels of a left-nested tower share
+        their second chain's."""
+        window = memo.get(self)
+        if window is None:
+            window = memo[self] = self._new_window(radius, cap, memo, [])
+        return window
 
-    def _window_candidates(self, radius: int, cap: int, memo: dict) -> tuple:
-        """The sizes of the candidate window rows, and a function that builds the
-        candidate rows of size at most a given cutoff, for :meth:`_window_rows`."""
+    def _new_window(self, radius: int, cap: int, memo: dict, extra: list) -> _Window:
+        """A window of this algebra with the rows ``extra`` among its candidates."""
         raise NotImplementedError
 
     # -- structural properties ------------------------------------------------
@@ -358,12 +451,8 @@ class BaseAlgebra(Algebra):
     def _sample(self, rng):
         return self._build(lambda chain: chain._draw(rng, None))
 
-    def _window_candidates(self, radius, cap, memo):
-        values = self.window(radius, cap)
-        sizes = list(map(self._twelfths, values))
-        return sizes, lambda cutoff: [
-            ((size, format_group_value(v)), v, self.coords(v))
-            for size, v in zip(sizes, values) if size <= cutoff]
+    def _new_window(self, radius, cap, memo, extra):
+        return _BaseWindow(self, radius, cap, extra)
 
     def _twelfths(self, v) -> int:
         return 12 * sum(map(abs, v))
@@ -557,6 +646,166 @@ class Trivial(BaseAlgebra):
         return "1"
 
 
+class _PlpWindow(_Window):
+    """A product's window, paired from its factors' windows a size at a time.
+
+    The first factor's rows join in order, each with its marker rows and, if
+    it lies in V, one pair with every row of the second factor, until more
+    than ``3 * cap`` candidates have joined.  The count takes the whole second
+    window, so the break falls where it would if every candidate were built.
+    Joined rows of one size form a group.  A heap holds, per group, the size
+    of its marker rows (its size plus ``_MARKER_SIZE``) and of its next pairs
+    (its size plus the next size of the second window), so a size builds only
+    the rows of that size.  A first row is never smaller than the first
+    factor's floor, nor is any row it joins into, so the first factor grows
+    only until its floor passes the size asked for.  A window filled before
+    it gave any row joins the first rows up to the break and builds every row
+    up to the cap-th smallest size at once.
+    """
+
+    def __init__(self, algebra, radius, cap, memo, extra):
+        self.cap, self.rows = cap, []
+        self._first = algebra.first._window(radius, cap, memo)
+        self._second = algebra.second._window(radius, cap, memo)
+        self._in_z = algebra._zrel.contains_coords if algebra.kind is _III else None
+        self._in_v = algebra._vrel.contains_coords
+        self._joined = 0  # first rows joined
+        self._candidates = 0  # of the joined rows, for the 3 * cap break
+        self._open = True  # more first rows may join
+        # Each group is [size, [(literal, x, markers)], marker row count, [(literal, x, cx) in V]].
+        self._groups: list = []
+        self._ysizes: list = []  # the sizes of the whole second window's rows
+        self._starts: list = []  # where each of those sizes starts
+        self._extra = extra  # rows given whole: a bounded algebra's bounds
+        # Heap of (size, group, k): the group's marker rows if k < 0, else its
+        # pairs with the second rows from _starts[k] on; extra[k] if group < 0.
+        self._due = [(row[0][0], -1, k) for k, row in enumerate(extra)]
+        heapify(self._due)
+        self._queued = 0  # groups in the heap
+        self._next = _UNKNOWN  # the next size, once worked out
+
+    def _join(self):
+        """Join the first rows given so far, up to the break."""
+        if not self._ysizes:  # before the first rows are read: the two may be one window
+            self._ysizes = list(map(_ROW_KEY, map(_ROW_KEY, self._second.fill())))
+        ycount = len(self._ysizes)
+        in_z, in_v, limit, groups = self._in_z, self._in_v, 3 * self.cap, self._groups
+        joined, count, group = self._joined, self._candidates, None
+        for (size, lit), x, cx in self._first.rows[joined:]:
+            joined += 1
+            if group is None or group[0] != size:
+                groups.append(group := [size, [], 0, []])
+            markers = _T if in_z is None else _BT if cx is not None and in_z(cx) else _B
+            group[1].append((lit, x, markers))
+            group[2] += len(markers)
+            count += len(markers)
+            if cx is not None and in_v(cx):
+                group[3].append((lit, x, cx))
+                count += ycount
+            if count > limit:
+                self._open = False
+                break
+        self._joined, self._candidates = joined, count
+
+    def _take(self):
+        """Join the first rows given so far and queue the rows of their groups."""
+        if self._open and self._joined < len(self._first.rows):
+            self._join()
+        if self._queued < len(self._groups):
+            due, ysizes = self._due, self._ysizes
+            if not self._starts:
+                self._starts = [bisect_left(ysizes, y) for y in sorted(set(ysizes))]
+            for g in range(self._queued, len(self._groups)):
+                size, _, _, paired = self._groups[g]
+                heappush(due, (size + _MARKER_SIZE, g, -1))
+                if paired and ysizes:
+                    heappush(due, (size + ysizes[0], g, 0))
+            self._queued = len(self._groups)
+
+    def _next_size(self):
+        """The size of the next rows to be given, or None once all are given."""
+        if self._next is _UNKNOWN and len(self.rows) >= self.cap:
+            self._next = None
+        while self._next is _UNKNOWN:
+            self._take()
+            due, below = self._due, self._first.floor() if self._open else None
+            if below is None or (due and due[0][0] < below):
+                self._next = due[0][0] if due else None
+            else:
+                self._first.grow()  # a first row of that size may pair with a second row of size 0
+        return self._next
+
+    def floor(self):
+        if self._next is not _UNKNOWN or len(self.rows) >= self.cap:
+            return self._next_size()
+        self._take()
+        size = self._due[0][0] if self._due else None
+        below = self._first.floor() if self._open else None
+        return below if size is None else size if below is None else min(size, below)
+
+    def _pairs(self, group, lo, hi):
+        """The pairs of a group's rows in V with the second rows lo..hi-1."""
+        xsize, _, _, paired = group
+        return [((xsize + ysize, f"({lit}, {ylit})"), Pair(x, y), None if cy is None else cx + cy)
+                for lit, x, cx in paired for (ysize, ylit), y, cy in self._second.rows[lo:hi]]
+
+    @staticmethod
+    def _markers(group):
+        size = group[0] + _MARKER_SIZE
+        return [((size, f"({lit}, {letter})"), Pair(x, marker), None)
+                for lit, x, markers in group[1] for marker, letter in markers]
+
+    def grow(self):
+        size = self._next_size()
+        if size is None:
+            return False
+        due, starts, ysizes, batch = self._due, self._starts, self._ysizes, []
+        while due and due[0][0] == size:
+            _, g, k = heappop(due)
+            if g < 0:
+                batch.append(self._extra[k])
+            elif k < 0:
+                batch += self._markers(self._groups[g])
+            else:
+                group = self._groups[g]
+                end = bisect_right(ysizes, size - group[0], starts[k])
+                batch += self._pairs(group, starts[k], end)
+                if k + 1 < len(starts):
+                    heappush(due, (group[0] + ysizes[end], g, k + 1))
+        self._give(batch)
+        self._next = _UNKNOWN
+        return True
+
+    def fill(self):
+        if self.rows or self._next is None:
+            return super().fill()
+        # Nothing given yet: join the first rows up to the break, then build
+        # every row up to the cap-th smallest size of all the candidates.
+        self._first.fill()
+        if self._open:
+            self._join()
+        ysizes = self._ysizes
+        sizes = [row[0][0] for row in self._extra]
+        for size, _, marks, paired in self._groups:
+            sizes += [size + _MARKER_SIZE] * marks
+            if paired:
+                sizes += list(map(size.__add__, ysizes)) * len(paired)
+        upto = sorted(sizes)[self.cap - 1] if len(sizes) > self.cap else max(sizes, default=0)
+        batch = [row for row in self._extra if row[0][0] <= upto]
+        for group in self._groups:
+            if group[0] > upto:  # the groups come smallest first
+                break
+            if group[0] + _MARKER_SIZE <= upto:
+                batch += self._markers(group)
+            if group[3]:
+                batch += self._pairs(group, 0, bisect_right(ysizes, upto - group[0]))
+        self._due.clear()
+        self._queued = len(self._groups)
+        self._give(batch)
+        self._next = None  # every row is given
+        return self.rows
+
+
 @dataclass(frozen=True)
 class PlpAlgebra(Algebra):
     """A partial lexicographic product.
@@ -743,40 +992,8 @@ class PlpAlgebra(Algebra):
                         TOP_MARKER if rng.random() < 0.5 else BOT_MARKER)
         return Pair(first._sample(rng), BOT_MARKER)
 
-    def _window_candidates(self, radius, cap, memo):
-        # Which first rows pair at all is decided by count, as if every candidate
-        # were built: the rows up to the one that passes 3 * cap candidates.
-        second_rows = self.second._window_rows(radius, cap, memo)
-        ysizes = [size for (size, _), _, _ in second_rows]  # ascending
-        in_z = self._zrel.contains_coords if self.kind is _III else None
-        in_v = self._vrel.contains_coords
-        sizes: list = []
-        plan = []
-        for (size, lit), x, cx in self.first._window_rows(radius, cap, memo):
-            markers = _T if in_z is None else _BT if cx is not None and in_z(cx) else _B
-            paired = cx is not None and in_v(cx)
-            plan.append((size, lit, x, cx, markers, paired))
-            sizes += [size + _MARKER_SIZE] * len(markers)
-            if paired:
-                sizes += map(size.__add__, ysizes)
-            if len(sizes) > 3 * cap:
-                break
-
-        def rows_upto(cutoff):
-            out = []
-            for size, lit, x, cx, markers, paired in plan:
-                if size > cutoff:  # the first rows come smallest first
-                    break
-                if size + _MARKER_SIZE <= cutoff:
-                    out += [((size + _MARKER_SIZE, f"({lit}, {letter})"), Pair(x, marker), None)
-                            for marker, letter in markers]
-                if paired:
-                    for (ysize, ylit), y, cy in second_rows[:bisect_right(ysizes, cutoff - size)]:
-                        out.append(((size + ysize, f"({lit}, {ylit})"), Pair(x, y),
-                                    None if cy is None else cx + cy))
-            return out
-
-        return sizes, rows_upto
+    def _new_window(self, radius, cap, memo, extra):
+        return _PlpWindow(self, radius, cap, memo, extra)
 
     @cached_property
     def ambient_kinds(self):
@@ -923,11 +1140,9 @@ class BoundedAlgebra(Algebra):
             return TOP_BOUND
         return self.inner._sample(rng)
 
-    def _window_candidates(self, radius, cap, memo):
-        sizes, inner_upto = self.inner._window_candidates(radius, cap, memo)
-        bounds = [((_MARKER_SIZE, b.value), b, None) for b in (BOT_BOUND, TOP_BOUND)]
-        return [_MARKER_SIZE, _MARKER_SIZE, *sizes], lambda cutoff: (
-            bounds if _MARKER_SIZE <= cutoff else []) + inner_upto(cutoff)
+    def _new_window(self, radius, cap, memo, extra):
+        # The bounds are two more candidates of the inner window: no level of their own.
+        return self.inner._new_window(radius, cap, memo, extra + _BOUND_ROWS)
 
     @property
     def ambient_kinds(self):

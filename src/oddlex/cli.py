@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 from .chains import adjoin_bounds
@@ -274,7 +275,17 @@ def main(argv=None) -> int:
     # Help, no subcommand and an unknown one need the full parser.
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone, and with 2>&1 so is standard error: print nothing,
+        # and point standard output at devnull so that the exit flush cannot
+        # fail again (the SIGPIPE note of the Python docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (OddlexError, OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

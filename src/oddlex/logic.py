@@ -18,7 +18,9 @@ memoized per id and ``*`` per unordered pair of ids, and meets, joins and truth
 tests compare the stored keys, so a ``~`` or ``*`` node whose operands did not
 move costs one lookup.  The window is interned once per position; a random draw
 changes every value, so the tables restart from the unit.  All tables live for
-one search.  The assignments tried and their order are those of a tree walk;
+one search.  The window's rows are forced on demand, during the sweep's first
+pass over the last variable, so a search that stops early builds only the rows
+it reached.  The assignments tried and their order are those of a tree walk;
 ``Countermodel.validate`` re-checks a find with ``_eval``.
 """
 
@@ -30,7 +32,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Optional, Sequence, Union
 
 from .chains import Algebra, BoundedAlgebra
@@ -42,7 +44,7 @@ from .errors import (
     ShapeError,
     UnassignedVariable,
 )
-from .sampling import sample_elem, window_elements
+from .sampling import iter_window, sample_elem
 
 # The countermodel search's systematic window: coordinates in [-3, 3], 60 elements.
 _WINDOW_RADIUS = 3
@@ -377,10 +379,21 @@ def _assignment_stream(algebra: Algebra, names: Sequence[str], seed: int):
     """Systematic sweep of small elements, then seeded random draws, forever.
 
     Yields ``(at, values)``: the values of ``names`` and their window indices
-    ``at`` (None for a random draw)."""
-    window = window_elements(algebra, radius=_WINDOW_RADIUS, cap=_WINDOW_CAP)
-    for at in product(range(len(window)), repeat=len(names)):
-        yield at, [window[j] for j in at]
+    ``at`` (None for a random draw).  The sweep is ``product(range(len(window)),
+    repeat=len(names))``.  Its first pass over the last variable forces the
+    window's rows one at a time, so a search that stops there builds only the
+    rows it reached; the rest of the sweep runs on the whole window.  With no
+    variables no window is built.
+    """
+    if names:
+        window, zeros = [], (0,) * (len(names) - 1)
+        for j, e in enumerate(iter_window(algebra, radius=_WINDOW_RADIUS, cap=_WINDOW_CAP)):
+            window.append(e)
+            yield zeros + (j,), [window[0]] * len(zeros) + [e]
+        for at in islice(product(range(len(window)), repeat=len(names)), len(window), None):
+            yield at, [window[j] for j in at]
+    else:
+        yield (), []
     rng = random.Random(seed)
     while True:
         yield None, [sample_elem(algebra, rng) for _ in names]

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oddlex
 from oddlex.cli import build_parser, main
 from oddlex.serialize import algebra_from_json, tower_from_json
 from oddlex.verify import SUITE_NAMES, SUITES
@@ -260,6 +265,25 @@ def test_a_spec_file_that_is_not_json_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["stdout", "stdout and stderr"])
+def test_a_closed_output_pipe_exits_2_without_a_traceback(tmp_path, merged):
+    # The found countermodel of 48 left-nested stages prints about 130 kB, more
+    # than a pipe holds, so the reader closes its end while the writer still
+    # writes: with stderr on the same pipe, printing the error would fail too.
+    spec = write_spec(tmp_path, "spec.json", {"ranks": [1] * 48, "iota": ["III"] * 47})
+    src = str(Path(oddlex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "oddlex.cli", "countermodel", spec, "p"],
+                            stdout=subprocess.PIPE, env=env,
+                            stderr=subprocess.STDOUT if merged else subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = b"" if merged else proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 def test_algebra_json_round_trip():

@@ -1,8 +1,9 @@
 import inspect
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, count, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from oddlex import (
     chains,
     check_consequence,
     eval_formula,
+    format_elem,
     format_formula,
     holds,
     make_qj,
@@ -490,6 +492,62 @@ def test_the_sweep_keys_each_window_position_once(monkeypatch):
         assert at is not None and not plan.falsified(at, values)
     # 2 * 60^2 keys if every move interned its variables' values afresh
     assert len(calls) <= window + len(plan.keys)
+
+
+# The tops the sweep forces on demand: a product, a deep left-nested bounded
+# tower, and a bounded base chain.
+STREAM_ALGEBRAS = {
+    "README top": lambda: _spec_top({"ranks": [1, 1, 1], "iota": ["III", "IV"],
+                                     "zdescs": [["*"], ["2", "*"]],
+                                     "vdescs": [["2"], ["2", "3"]]}, MODE_I_II),
+    "bounded iii12": lambda: adjoin_bounds(_spec_top({"ranks": [1] * 12, "iota": ["III"] * 11},
+                                                     MODE_I_II)),
+    "bounded z4": lambda: adjoin_bounds(_spec_top({"ranks": [4], "iota": []}, MODE_I_II)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_ALGEBRAS))
+def test_the_stream_is_the_sweep_of_the_whole_window_then_the_draws(name):
+    # Forcing the window on demand keeps the stream: itertools.product over the
+    # whole window, then the seeded draws.
+    A = STREAM_ALGEBRAS[name]()
+    window = window_elements(A, radius=3, cap=60)
+    for n in range(4):
+        names = ["p", "q", "r"][:n]
+        draws = random.Random(5)
+        sweep = ((at, [window[j] for j in at]) for at in product(range(len(window)), repeat=n))
+        random_draws = ((None, [sample_elem(A, draws) for _ in names]) for _ in count())
+        expected = chain(sweep, random_draws)
+        for (at, values), (want_at, want) in zip(
+                islice(_assignment_stream(A, names, seed=5), len(window) + 50), expected):
+            assert at == want_at, (name, n)
+            assert list(map(format_elem, values)) == list(map(format_elem, want)), (name, n, at)
+
+
+def test_a_search_found_early_builds_only_the_rows_it_reached(monkeypatch):
+    # On bounded iii12 the goal p fails at the sweep's second assignment, (..., B),
+    # so the window is forced only that far: each product level builds a few
+    # rows (and its unit), not the 61-85 of the whole window.
+    A = STREAM_ALGEBRAS["bounded iii12"]()
+    built = Counter()  # product level -> Pairs built
+    pair = chains.Pair
+
+    def counting_pair(x, s):
+        level, e = 1, x
+        while isinstance(e, pair):
+            level, e = level + 1, e.first
+        built[level] += 1
+        return pair(x, s)
+
+    monkeypatch.setattr(chains, "Pair", counting_pair)
+    assert check_consequence(A, [], parse_formula("p"), budget=1) is None
+    built.clear()
+    cm = check_consequence(A, [], parse_formula("p"), budget=2)
+    monkeypatch.undo()
+    assert cm is not None and cm.assignment["p"] == window_elements(A, 3, 60)[1]
+    assert format_elem(cm.assignment["p"]).endswith(", B)")
+    assert sorted(built) == list(range(1, 12))
+    assert max(built.values()) < 10, built
 
 
 def _subterms(f):

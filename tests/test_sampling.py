@@ -7,9 +7,12 @@ re-walks every element, truncate.  The keyed, shell-by-shell window in
 ``oddlex.sampling`` must return exactly the same list.
 """
 
+import collections
+import functools
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,7 @@ from oddlex.chains import (BaseAlgebra, BoundedAlgebra, PlpAlgebra, QChain, ZLex
 from oddlex.cli import main
 from oddlex.elements import BOT_BOUND, TOP_BOUND, Bound, Pair, format_elem
 from oddlex.errors import ShapeError
-from oddlex.sampling import sample_elem, sample_group_elem, window_elements
+from oddlex.sampling import iter_window, sample_elem, sample_group_elem, window_elements
 from oddlex.towers import (
     MODE_I_II,
     MODE_III_IV,
@@ -141,45 +144,67 @@ def test_window_matches_the_reference_definition(name):
                 (name, radius, cap)
 
 
+def _depth(e):
+    """How many products deep ``e`` lies: a level-k window row is a Pair whose
+    first component lies k - 1 deep."""
+    depth = 0
+    while isinstance(e, Pair):
+        e, depth = e.first, depth + 1
+    return depth
+
+
 def test_the_window_builds_no_row_that_the_cap_drops(monkeypatch):
-    # Per product level, a literal is formatted and a Pair built only for the
-    # candidates no larger than the cap-th smallest size: the kept rows plus
-    # the ties at that cutoff, not the about 3 * cap candidates.
+    # Forced whole, each product level formats a literal and builds a Pair only
+    # for the candidates no larger than the cap-th smallest size: the kept
+    # rows plus the ties at that cutoff, not the about 3 * cap candidates.
     A, cap = DEEP_ALGEBRAS["bounded iii12"](), 60
-    pairs, levels = [], []
-    candidates = PlpAlgebra._window_candidates
-
-    def recording(algebra, *args):
-        sizes, rows_upto = candidates(algebra, *args)
-
-        def recorded(cutoff):
-            before = len(pairs)
-            rows = rows_upto(cutoff)
-            levels.append((sorted(sizes), cutoff, rows, len(pairs) - before))
-            return rows
-        return sizes, recorded
+    built = collections.defaultdict(list)  # level -> the Pairs it built
 
     def counting_pair(x, s):
-        pairs.append(None)
-        return Pair(x, s)
+        pair = Pair(x, s)
+        built[_depth(x) + 1].append(pair)
+        return pair
 
-    monkeypatch.setattr(PlpAlgebra, "_window_candidates", recording)
     monkeypatch.setattr(chains, "Pair", counting_pair)
-    assert len(window_elements(A, 3, cap)) == cap
-    assert len(levels) == 11
-    for sizes, cutoff, rows, built in levels:
-        kept_and_ties = cap + sizes.count(cutoff)
-        literals = {lit for (_, lit), _, _ in rows}
-        assert built == len(literals) == len(rows) <= kept_and_ties
-    # Every level past the first has about 3 * cap candidates.
-    assert all(len(sizes) > 2.5 * cap for sizes, _, _, _ in levels[1:])
+    memo = {}
+    assert len(A._window(3, cap, memo).fill()) == cap
+    monkeypatch.undo()
+    # The top product shares its window with the bounds: the bounded algebra's.
+    levels = [B for B in memo if isinstance(B, PlpAlgebra)] + [A]
+    assert len(levels) == 11 and sorted(built) == list(range(1, 12))
+    # The reference candidates of every level, each level's computed once.
+    monkeypatch.setattr(sys.modules[__name__], "reference_window",
+                        functools.cache(reference_window))
+    for B in levels:
+        level = _depth(B.unit())
+        sizes = sorted(_ref_size(e) for e in _ref_all(B, 3, cap))
+        kept_and_ties = cap + sizes.count(sizes[cap - 1])
+        assert len(set(built[level])) == len(built[level]) <= kept_and_ties, level
+        # Every level past the first counts about 3 * cap candidates for the break.
+        assert level == 1 or memo[B]._candidates > 2.5 * cap, level
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_window_rows_carry_the_group_coordinates(name):
+    # Forced whole and one size at a time, the window gives the same rows.
     A = ALGEBRAS[name]()
-    for _, e, coords in A._window_rows(3, 400, {}):
+    whole, by_size = A._window(3, 400, {}), A._window(3, 400, {})
+    whole.fill()
+    while by_size.grow():
+        pass
+    assert by_size.rows == whole.rows
+    for _, e, coords in whole.rows:
         assert coords == A._group_coords(e), format_elem(e)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(DEEP_ALGEBRAS))
+def test_a_forced_prefix_is_the_window_prefix(name):
+    # The sweep forces rows one at a time: forcing the first j rows of a fresh
+    # window gives the first j rows of the window forced whole.
+    A = {**ALGEBRAS, **DEEP_ALGEBRAS}[name]()
+    window = window_elements(A, 3, 60)
+    for j in (1, 2, 3, 5, 17, len(window)):
+        assert list(itertools.islice(iter_window(A, 3, 60), j)) == window[:j], (name, j)
 
 
 @pytest.mark.parametrize("A", [z_chain(1), z_chain(3), q_chain(), trivial_chain()],
