@@ -42,18 +42,20 @@ The window is built level by level, as far as it is asked for:
 levels of a left-nested tower share their second chain's rows.  A state
 holds the rows ``((size, literal), element, group_coords)`` given so far, in
 (size, literal) order, and gives the next size's rows when asked
-(``grow``).  A base chain sizes the values of its ``window`` with
-``_twelfths`` and gives them all at once; bounds adjoined to an algebra are
-two more candidates of its window, at the size of a marker.  A product joins
+(``grow``); forcing every row (``fill``) is growing until none is left.  A
+base chain sizes the values of its ``window`` with ``_twelfths`` up front
+and formats them a size at a time; bounds adjoined to an algebra are two
+more candidates of its window, at the size of a marker.  A product joins
 its first factor's rows in order, until the ``3 * cap`` break, and pairs
 them with its second factor's rows: sizes add, literals nest, ``(x, y)``
 gets ``cx + cy``, so no element tree is walked twice.  Since the rows come
 by size, a size never reorders those given before it, and a product grows
 its first factor only until no row still to come there can be as small as
-the size asked for (``floor``): a search stopped early builds each level
-only up to the sizes it reached.  Asked for every row at once (``fill``), a
-product builds only the candidates no larger than the cap-th smallest size:
-the rows the cap keeps and the ties.
+the size asked for (``floor``), and its second factor only as far as some
+pair reaches.  A level so builds only the rows no larger than the last size
+asked of it, the ties at that size included: a search stopped early builds
+each level only up to the sizes it reached, and a full force builds only
+the rows the cap keeps and the ties at the cap-th size.
 
 The order is one flat key per element, :meth:`Algebra._key`, compared natively
 by :meth:`Algebra._compare` and by every sort: a base-chain element ``v`` has
@@ -81,7 +83,7 @@ from __future__ import annotations
 import enum
 import operator
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -121,6 +123,7 @@ _BT = _B + _T
 _BOUND_ROWS = [((_MARKER_SIZE, b.value), b, None) for b in (BOT_BOUND, TOP_BOUND)]
 _ROW_KEY = operator.itemgetter(0)
 _UNKNOWN = object()  # a window's next size, not yet worked out
+_ANY, _AS_Z = object(), object()  # a product window's membership tests, see _PlpWindow
 
 
 class _Window:
@@ -130,19 +133,30 @@ class _Window:
 
     ``rows`` holds the rows given so far: every row of the window no larger
     than the last size given.  Since the rows come by size, a size never
-    reorders the rows given before it.
+    reorders the rows given before it.  ``ends[k]`` is where the rows of the
+    k-th size given end.
     """
 
     cap: int
     rows: list
+    ends: list
 
     def floor(self) -> Optional[int]:
         """A size that no row still to be given is below, found without
         building any row; None once every row is given."""
         raise NotImplementedError
 
+    def next_size(self) -> Optional[int]:
+        """The size of the rows :meth:`grow` gives next, found without
+        building any of them; None once every row is given."""
+        raise NotImplementedError
+
     def grow(self) -> bool:
         """Give the rows of the next size; False if none is left."""
+        raise NotImplementedError
+
+    def length(self) -> int:
+        """How many rows the window holds once every row is given."""
         raise NotImplementedError
 
     def fill(self) -> list:
@@ -155,6 +169,7 @@ class _Window:
         batch.sort(key=_ROW_KEY)
         del batch[self.cap - len(self.rows):]  # the ties past the cap
         self.rows += batch
+        self.ends.append(len(self.rows))
 
 
 class _BaseWindow(_Window):
@@ -163,49 +178,45 @@ class _BaseWindow(_Window):
     with the rows ``extra`` (a bounded chain's bounds) among them."""
 
     def __init__(self, chain, radius, cap, extra):
-        self.cap, self.rows = cap, []
+        self.cap, self.rows, self.ends = cap, [], []
         self._chain = chain
         self._values = chain.window(radius, cap)
         self._sizes = list(map(chain._twelfths, self._values))
         self._extra = sorted(extra, key=_ROW_KEY)
         self._at = self._extra_at = 0  # values and extra rows given
+        self._find_next()
 
-    def floor(self):
-        # The next size exactly: the values come by size.
-        if len(self.rows) >= self.cap:
-            return None
+    def _find_next(self):
+        """Work out the next size: the values come by size."""
         size = self._sizes[self._at] if self._at < len(self._sizes) else None
         if self._extra_at < len(self._extra):
             bound = self._extra[self._extra_at][0][0]
-            size = bound if size is None else min(size, bound)
-        return size
+            size = bound if size is None or bound < size else size
+        self._next = None if len(self.rows) >= self.cap else size
+
+    def next_size(self):
+        return self._next
+
+    floor = next_size  # exact: the values come by size
+
+    def length(self):
+        return min(self.cap, len(self._values) + len(self._extra))
 
     def grow(self):
-        size = self.floor()
-        if size is not None:
-            self._give_upto(size)
-        return size is not None
-
-    def fill(self):
-        if self.floor() is not None:
-            # No value larger than the cap-th smallest size survives the cap.
-            left = self._sizes[self._at:] + [row[0][0] for row in self._extra[self._extra_at:]]
-            room = self.cap - len(self.rows)
-            self._give_upto(sorted(left)[room - 1] if room < len(left) else max(left))
-        return self.rows
-
-    def _give_upto(self, upto):
-        """Give every row no larger than ``upto``."""
-        lo, self._at = self._at, bisect_right(self._sizes, upto, self._at)
-        chain = self._chain
-        batch = [((size, format_group_value(v)), v, chain.coords(v))
-                 for size, v in zip(self._sizes[lo:self._at], self._values[lo:self._at])]
+        size = self._next
+        if size is None:
+            return False
+        lo, self._at = self._at, bisect_right(self._sizes, size, self._at)
+        coords = self._chain.coords
+        batch = [((size, format_group_value(v)), v, coords(v)) for v in self._values[lo:self._at]]
         for row in self._extra[self._extra_at:]:
-            if row[0][0] > upto:
+            if row[0][0] > size:
                 break
             batch.append(row)
             self._extra_at += 1
         self._give(batch)
+        self._find_next()
+        return True
 
 
 class Algebra:
@@ -651,159 +662,139 @@ class _PlpWindow(_Window):
 
     The first factor's rows join in order, each with its marker rows and, if
     it lies in V, one pair with every row of the second factor, until more
-    than ``3 * cap`` candidates have joined.  The count takes the whole second
-    window, so the break falls where it would if every candidate were built.
-    Joined rows of one size form a group.  A heap holds, per group, the size
-    of its marker rows (its size plus ``_MARKER_SIZE``) and of its next pairs
-    (its size plus the next size of the second window), so a size builds only
-    the rows of that size.  A first row is never smaller than the first
-    factor's floor, nor is any row it joins into, so the first factor grows
-    only until its floor passes the size asked for.  A window filled before
-    it gave any row joins the first rows up to the break and builds every row
-    up to the cap-th smallest size at once.
+    than ``3 * cap`` candidates have joined.  The count takes the second
+    window's ``length``, so the break falls where it would if every candidate
+    were built.  Joined rows of one size form a group.  A heap holds, per
+    group, the size of its marker rows (its size plus ``_MARKER_SIZE``) and
+    of its next pairs (its size plus the second window's next size), so a
+    size builds only the rows of that size, and the second window grows only
+    as far as some pair needs it.  A first row is never smaller than the
+    first factor's floor, nor is any row it joins into, so the first factor
+    grows only until its floor passes the size asked for.
     """
 
     def __init__(self, algebra, radius, cap, memo, extra):
-        self.cap, self.rows = cap, []
+        self.cap, self.rows, self.ends = cap, [], []
         self._first = algebra.first._window(radius, cap, memo)
         self._second = algebra.second._window(radius, cap, memo)
-        self._in_z = algebra._zrel.contains_coords if algebra.kind is _III else None
-        self._in_v = algebra._vrel.contains_coords
+        # The first rows' membership tests: _ANY for a descriptor that constrains
+        # nothing, _AS_Z for V where it is Z; no Z test in a type IV product.
+        zrel, vrel = (algebra._zrel if algebra.kind is _III else None), algebra._vrel
+        self._in_z = None if zrel is None else zrel.contains_coords if zrel.constrained else _ANY
+        self._in_v = (_ANY if not vrel.constrained else _AS_Z if vrel == zrel
+                      else vrel.contains_coords)
         self._joined = 0  # first rows joined
         self._candidates = 0  # of the joined rows, for the 3 * cap break
         self._open = True  # more first rows may join
-        # Each group is [size, [(literal, x, markers)], marker row count, [(literal, x, cx) in V]].
+        # Each group is (size, [(literal, x, markers)], [(literal, x, cx) in V]).
         self._groups: list = []
-        self._ysizes: list = []  # the sizes of the whole second window's rows
-        self._starts: list = []  # where each of those sizes starts
+        self._ycount = self._ymin = None  # the second window's length and first size, once read
         self._extra = extra  # rows given whole: a bounded algebra's bounds
         # Heap of (size, group, k): the group's marker rows if k < 0, else its
-        # pairs with the second rows from _starts[k] on; extra[k] if group < 0.
+        # pairs with the second window's rows of its k-th size; extra[k] if group < 0.
         self._due = [(row[0][0], -1, k) for k, row in enumerate(extra)]
         heapify(self._due)
-        self._queued = 0  # groups in the heap
         self._next = _UNKNOWN  # the next size, once worked out
+        self._below = 0  # the first window's floor when last asked
 
     def _join(self):
-        """Join the first rows given so far, up to the break."""
-        if not self._ysizes:  # before the first rows are read: the two may be one window
-            self._ysizes = list(map(_ROW_KEY, map(_ROW_KEY, self._second.fill())))
-        ycount = len(self._ysizes)
-        in_z, in_v, limit, groups = self._in_z, self._in_v, 3 * self.cap, self._groups
-        joined, count, group = self._joined, self._candidates, None
+        """Join the first rows given so far, up to the break, and queue the
+        rows of their groups."""
+        if self._ycount is None:
+            second = self._second
+            self._ycount = second.length()
+            self._ymin = second.rows[0][0][0] if second.rows else second.next_size()
+        in_z, in_v, limit, groups, due = self._in_z, self._in_v, 3 * self.cap, self._groups, self._due
+        ycount, ymin = self._ycount, self._ymin
+        joined, count, gsize = self._joined, self._candidates, None
         for (size, lit), x, cx in self._first.rows[joined:]:
             joined += 1
-            if group is None or group[0] != size:
-                groups.append(group := [size, [], 0, []])
-            markers = _T if in_z is None else _BT if cx is not None and in_z(cx) else _B
-            group[1].append((lit, x, markers))
-            group[2] += len(markers)
+            if size != gsize:
+                gsize, marked, paired = size, [], []
+                heappush(due, (size + _MARKER_SIZE, len(groups), -1))
+                groups.append((size, marked, paired))
+            # Outside the group part (cx None), a row lies in neither Z nor V.
+            z = cx is not None and (in_z is _ANY or in_z is not None and in_z(cx))
+            markers = _BT if z else _B if in_z else _T
+            marked.append((lit, x, markers))
             count += len(markers)
-            if cx is not None and in_v(cx):
-                group[3].append((lit, x, cx))
+            if cx is not None and (in_v is _ANY or (z if in_v is _AS_Z else in_v(cx))):
+                if not paired and ymin is not None:
+                    heappush(due, (size + ymin, len(groups) - 1, 0))
+                paired.append((lit, x, cx))
                 count += ycount
             if count > limit:
                 self._open = False
                 break
         self._joined, self._candidates = joined, count
 
-    def _take(self):
-        """Join the first rows given so far and queue the rows of their groups."""
-        if self._open and self._joined < len(self._first.rows):
+    def length(self):
+        if self._open:
+            self._first.fill()
             self._join()
-        if self._queued < len(self._groups):
-            due, ysizes = self._due, self._ysizes
-            if not self._starts:
-                self._starts = [bisect_left(ysizes, y) for y in sorted(set(ysizes))]
-            for g in range(self._queued, len(self._groups)):
-                size, _, _, paired = self._groups[g]
-                heappush(due, (size + _MARKER_SIZE, g, -1))
-                if paired and ysizes:
-                    heappush(due, (size + ysizes[0], g, 0))
-            self._queued = len(self._groups)
+        return min(self.cap, self._candidates + len(self._extra))
 
-    def _next_size(self):
-        """The size of the next rows to be given, or None once all are given."""
-        if self._next is _UNKNOWN and len(self.rows) >= self.cap:
-            self._next = None
-        while self._next is _UNKNOWN:
-            self._take()
-            due, below = self._due, self._first.floor() if self._open else None
-            if below is None or (due and due[0][0] < below):
-                self._next = due[0][0] if due else None
+    def next_size(self):
+        size = self._next
+        if size is _UNKNOWN:
+            first, due = self._first, self._due
+            while len(self.rows) < self.cap:
+                if self._open and self._joined < len(first.rows):
+                    self._join()
+                size = due[0][0] if due else None
+                if not self._open or size is not None and size < self._below:
+                    break
+                # A floor stays a floor as rows are given: ask again only when past it.
+                self._below = below = first.floor()
+                if below is None:  # every first row is joined
+                    self._open = False
+                    break
+                if size is not None and size < below:
+                    break
+                first.grow()  # a first row of that size may pair with a second row of size 0
             else:
-                self._first.grow()  # a first row of that size may pair with a second row of size 0
-        return self._next
+                size = None
+            self._next = size
+        return size
 
     def floor(self):
         if self._next is not _UNKNOWN or len(self.rows) >= self.cap:
-            return self._next_size()
-        self._take()
+            return self.next_size()
+        if self._open and self._joined < len(self._first.rows):
+            self._join()
         size = self._due[0][0] if self._due else None
         below = self._first.floor() if self._open else None
-        return below if size is None else size if below is None else min(size, below)
-
-    def _pairs(self, group, lo, hi):
-        """The pairs of a group's rows in V with the second rows lo..hi-1."""
-        xsize, _, _, paired = group
-        return [((xsize + ysize, f"({lit}, {ylit})"), Pair(x, y), None if cy is None else cx + cy)
-                for lit, x, cx in paired for (ysize, ylit), y, cy in self._second.rows[lo:hi]]
-
-    @staticmethod
-    def _markers(group):
-        size = group[0] + _MARKER_SIZE
-        return [((size, f"({lit}, {letter})"), Pair(x, marker), None)
-                for lit, x, markers in group[1] for marker, letter in markers]
+        return below if size is None else size if below is None or size < below else below
 
     def grow(self):
-        size = self._next_size()
+        size = self._next
+        if size is _UNKNOWN:
+            size = self.next_size()
         if size is None:
             return False
-        due, starts, ysizes, batch = self._due, self._starts, self._ysizes, []
+        due, groups, second, batch = self._due, self._groups, self._second, []
+        ends = second.ends
         while due and due[0][0] == size:
             _, g, k = heappop(due)
             if g < 0:
                 batch.append(self._extra[k])
             elif k < 0:
-                batch += self._markers(self._groups[g])
+                batch += [((size, f"({lit}, {letter})"), Pair(x, marker), None)
+                          for lit, x, markers in groups[g][1] for marker, letter in markers]
             else:
-                group = self._groups[g]
-                end = bisect_right(ysizes, size - group[0], starts[k])
-                batch += self._pairs(group, starts[k], end)
-                if k + 1 < len(starts):
-                    heappush(due, (group[0] + ysizes[end], g, k + 1))
+                gsize, _, paired = groups[g]
+                if k == len(ends):
+                    second.grow()  # its next size: this one less gsize
+                hi = ends[k]
+                batch += [((size, f"({lit}, {ylit})"), Pair(x, y), None if cy is None else cx + cy)
+                          for lit, x, cx in paired
+                          for (_, ylit), y, cy in second.rows[ends[k - 1] if k else 0:hi]]
+                ysize = second.rows[hi][0][0] if k + 1 < len(ends) else second.next_size()
+                if ysize is not None:
+                    heappush(due, (gsize + ysize, g, k + 1))
         self._give(batch)
         self._next = _UNKNOWN
         return True
-
-    def fill(self):
-        if self.rows or self._next is None:
-            return super().fill()
-        # Nothing given yet: join the first rows up to the break, then build
-        # every row up to the cap-th smallest size of all the candidates.
-        self._first.fill()
-        if self._open:
-            self._join()
-        ysizes = self._ysizes
-        sizes = [row[0][0] for row in self._extra]
-        for size, _, marks, paired in self._groups:
-            sizes += [size + _MARKER_SIZE] * marks
-            if paired:
-                sizes += list(map(size.__add__, ysizes)) * len(paired)
-        upto = sorted(sizes)[self.cap - 1] if len(sizes) > self.cap else max(sizes, default=0)
-        batch = [row for row in self._extra if row[0][0] <= upto]
-        for group in self._groups:
-            if group[0] > upto:  # the groups come smallest first
-                break
-            if group[0] + _MARKER_SIZE <= upto:
-                batch += self._markers(group)
-            if group[3]:
-                batch += self._pairs(group, 0, bisect_right(ysizes, upto - group[0]))
-        self._due.clear()
-        self._queued = len(self._groups)
-        self._give(batch)
-        self._next = None  # every row is given
-        return self.rows
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,8 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.fn(args)
-        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        if sys.stdout is not None:  # None when started with standard output closed
+            sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:
         # The reader is gone, and with 2>&1 so is standard error: print nothing,

@@ -34,8 +34,9 @@ def window_elements(algebra: Algebra, radius: int = 3, cap: int = 4000) -> list[
     components and stops pairing once it holds more than ``3 * cap``
     candidates, so there a smaller cap can drop or admit elements that a
     larger cap orders differently; the result is still sorted by size.  These
-    are the rows of :func:`iter_window`, all forced at once: each level builds
-    only the candidates no larger than its cap-th smallest size.
+    are the rows of :func:`iter_window`, every one forced, a size at a time:
+    each level builds only the candidates no larger than its cap-th smallest
+    size.
     """
     return [e for _, e, _ in algebra._window(radius, cap, {}).fill()]
 

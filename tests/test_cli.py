@@ -267,15 +267,20 @@ def test_a_spec_file_that_is_not_json_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _env_with_this_oddlex():
+    """The environment for a ``python -m oddlex.cli`` subprocess that imports this tree."""
+    src = str(Path(oddlex.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 @pytest.mark.parametrize("merged", [False, True], ids=["stdout", "stdout and stderr"])
 def test_a_closed_output_pipe_exits_2_without_a_traceback(tmp_path, merged):
     # The found countermodel of 48 left-nested stages prints about 130 kB, more
     # than a pipe holds, so the reader closes its end while the writer still
     # writes: with stderr on the same pipe, printing the error would fail too.
     spec = write_spec(tmp_path, "spec.json", {"ranks": [1] * 48, "iota": ["III"] * 47})
-    src = str(Path(oddlex.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _env_with_this_oddlex()
     proc = subprocess.Popen([sys.executable, "-m", "oddlex.cli", "countermodel", spec, "p"],
                             stdout=subprocess.PIPE, env=env,
                             stderr=subprocess.STDOUT if merged else subprocess.PIPE)
@@ -284,6 +289,17 @@ def test_a_closed_output_pipe_exits_2_without_a_traceback(tmp_path, merged):
     err = b"" if merged else proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert err == b""
+
+
+def test_a_closed_standard_output_keeps_the_exit_code(tmp_path):
+    # Started with fd 1 closed (`>&-`), Python has no sys.stdout: printing is a
+    # no-op, and a found countermodel still exits 0.
+    spec = write_spec(tmp_path, "spec.json", {"ranks": [1], "iota": []})
+    env = _env_with_this_oddlex()
+    proc = subprocess.run([sys.executable, "-m", "oddlex.cli", "countermodel", spec, "p"],
+                          stderr=subprocess.PIPE, env=env, preexec_fn=lambda: os.close(1),
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_algebra_json_round_trip():
